@@ -28,6 +28,7 @@ struct LlcConfig {
   [[nodiscard]] int num_allocations() const noexcept {
     return max_ways - min_ways + 1;
   }
+  [[nodiscard]] bool operator==(const LlcConfig&) const = default;
 };
 
 /// Memory-bandwidth partition bounds (the CBP companion knob,
@@ -58,6 +59,7 @@ struct BwConfig {
   [[nodiscard]] bool degenerate() const noexcept {
     return shares_per_core_baseline == 1 && min_shares == 1 && max_shares == 1;
   }
+  [[nodiscard]] bool operator==(const BwConfig&) const = default;
 };
 
 /// Effective DRAM-latency multiplier at `b` granted shares: exactly 1.0 at
@@ -88,6 +90,9 @@ struct SystemConfig {
   [[nodiscard]] int total_shares() const noexcept {
     return bw.total_shares(cores);
   }
+  /// Field-wise (qos_alpha included): RunScratch reuses a ResourceManager
+  /// only while the system it was built for compares equal.
+  [[nodiscard]] bool operator==(const SystemConfig&) const = default;
 };
 
 /// Maps the CLI-facing `--bw-shares=N` knob (baseline shares per core) onto

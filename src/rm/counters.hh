@@ -66,8 +66,8 @@ struct CounterSnapshot {
   /// serve an outcome for counters that are no longer in the snapshot.
   /// memo_key < 0 (hand-built snapshots) disables memoization.
   std::int64_t memo_key = -1;
-  std::int64_t memo_space = 0;                 ///< db.interval_key_space()
-  const workload::SimDb* memo_db = nullptr;    ///< producing database
+  std::int64_t memo_space = 0;   ///< db.interval_key_space()
+  std::uint64_t memo_db = 0;     ///< producing database's SimDb::id()
 
   [[nodiscard]] int max_ways() const noexcept {
     return static_cast<int>(atd_misses.size());

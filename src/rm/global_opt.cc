@@ -26,10 +26,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // The forward pass keeps values only - the argmin is recovered during
 // backtracking by an equality re-scan (see optimize_into), so the kernels
 // carry no index lanes. The scalar kernel iterates the compacted feasible
-// entries of the right child; the AVX2 kernel runs dense over the full child
-// row instead - an infinite eb produces an infinite sum, which can never
-// lower the running min, so both kernels leave bitwise-identical energies
-// (pinned by the randomized equivalence tests in rm_test_global_opt).
+// entries of the right child; the AVX2 kernel runs dense over the child's
+// feasible span instead - all of its b-rows at once, laid out at the output
+// row stride with +inf padding - and an infinite eb produces an infinite
+// sum, which can never lower the running min, so both kernels leave
+// bitwise-identical energies (pinned by the randomized equivalence tests in
+// rm_test_global_opt and rm_test_global_opt_2d).
 
 inline void combine_row_scalar(double ea, std::span<const int> feas_idx,
                                std::span<const double> feas_val, double* ne) {
@@ -224,35 +226,37 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
       // ibb * n_size + ib: because n_size = a_size + b_size - 1, the w parts
       // of any (left, right) pair can never carry into the b-row term, so
       // out_flat = left_contribution + right_contribution. The scalar kernel
-      // consumes the compacted arrays; the vector kernel runs dense over
-      // each child b-row (clipped to its feasible span) and only needs the
-      // total count. With a single b-row everything reduces exactly to the
-      // 1-D compaction.
+      // consumes the compacted arrays; the vector kernel runs dense over the
+      // child, clipped to the span from its first to its last feasible cell
+      // (infinite entries outside it can never win a strict-less), and only
+      // needs the total count. With a single b-row everything reduces
+      // exactly to the 1-D compaction.
       ws.feas_idx_.clear();
       ws.feas_val_.clear();
-      ws.feas_row_first_.clear();
-      ws.feas_row_last_.clear();
       const bool compact_b = !vectorized && !root_combine;
       std::uint64_t n_feas_b = 0;
+      int first_bb = -1;  // (b-row, w index) of the first and last feasible
+      [[maybe_unused]] int first_b = 0;  // right cells in storage order
+      [[maybe_unused]] int last_bb = 0;
+      [[maybe_unused]] int last_b = 0;
       for (int ibb = 0; ibb < b_b_size; ++ibb) {
         const double* eb_row = eb_arr + static_cast<std::size_t>(ibb) *
                                             static_cast<std::size_t>(b_size);
-        int row_first = b_size;  // feasible span of this b-row: the dense
-        int row_last = -1;       // kernel clips to it (infinite prefix/suffix
-                                 // entries can never win a strict-less)
         for (int ib = 0; ib < b_size; ++ib) {
           const double eb = eb_row[ib];
           if (std::isinf(eb)) continue;
           ++n_feas_b;
-          row_first = row_first == b_size ? ib : row_first;
-          row_last = ib;
+          if (first_bb < 0) {
+            first_bb = ibb;
+            first_b = ib;
+          }
+          last_bb = ibb;
+          last_b = ib;
           if (compact_b) {
             ws.feas_idx_.push_back(ibb * n_size + ib);
             ws.feas_val_.push_back(eb);
           }
         }
-        ws.feas_row_first_.push_back(row_first == b_size ? -1 : row_first);
-        ws.feas_row_last_.push_back(row_last);
       }
 
       // One op = one feasible-pair DP step, counted uniformly whichever side
@@ -293,6 +297,36 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
              static_cast<std::size_t>(target_w)] = best;
         }
       } else if (n_feas_b > 0) {
+        // The vector kernel's dense view of the right child: the child itself
+        // when it has one b-row, else its rows copied at the output stride
+        // n_size with +inf padding, so that right cell (ibb, ib) sits at
+        // ibb * n_size + ib - its output contribution, as in the compaction.
+        // Either way [dense_first, dense_first + dense_len) spans the first
+        // to the last feasible cell, and a left cell's whole update is one
+        // kernel call. A call touches each output index once, so every cell
+        // still sees its pairs in ascending left-cell order (the scalar
+        // kernel's tie-breaking), and padding lanes store back the value they
+        // loaded. The span stays inside the output surface: its last lane is
+        // at most ca + (b_b_size - 1) * n_size + b_size - 1.
+#ifdef QOSRM_SIMD_HAVE_AVX2
+        const double* eb_dense = eb_arr;
+        int stride = b_size;
+        if (vectorized && b_b_size > 1) {
+          stride = n_size;
+          ws.padded_b_.assign(static_cast<std::size_t>(b_b_size) *
+                                  static_cast<std::size_t>(n_size),
+                              kInf);
+          for (int ibb = first_bb; ibb <= last_bb; ++ibb) {
+            const auto row = static_cast<std::size_t>(ibb);
+            std::copy_n(eb_arr + row * static_cast<std::size_t>(b_size), b_size,
+                        ws.padded_b_.data() +
+                            row * static_cast<std::size_t>(n_size));
+          }
+          eb_dense = ws.padded_b_.data();
+        }
+        const int dense_first = first_bb * stride + first_b;
+        const int dense_len = last_bb * stride + last_b - dense_first + 1;
+#endif
         for (int iba = 0; iba < a_b_size; ++iba) {
           const double* ea_row = ea_arr + static_cast<std::size_t>(iba) *
                                               static_cast<std::size_t>(a_size);
@@ -305,20 +339,8 @@ void GlobalOptimizer::optimize_into(std::span<const EnergyCurveView> curves,
             const int ca = iba * n_size + ia;
             if (vectorized) {
 #ifdef QOSRM_SIMD_HAVE_AVX2
-              for (int ibb = 0; ibb < b_b_size; ++ibb) {
-                const int row_first =
-                    ws.feas_row_first_[static_cast<std::size_t>(ibb)];
-                if (row_first < 0) continue;  // all-infeasible b-row
-                const int row_last =
-                    ws.feas_row_last_[static_cast<std::size_t>(ibb)];
-                combine_row_avx2(
-                    ea,
-                    eb_arr + static_cast<std::size_t>(ibb) *
-                                 static_cast<std::size_t>(b_size) +
-                        row_first,
-                    row_last - row_first + 1,
-                    ne + ca + ibb * n_size + row_first);
-              }
+              combine_row_avx2(ea, eb_dense + dense_first, dense_len,
+                               ne + ca + dense_first);
 #endif
             } else {
               combine_row_scalar(ea, ws.feas_idx_, ws.feas_val_, ne + ca);

@@ -134,14 +134,18 @@ class GlobalOptWorkspace {
   /// b-row index times the OUTPUT row length plus its w index, so the
   /// output flat index of any pair is just the two contributions summed):
   /// the scalar kernel iterates these so it only touches finite energies;
-  /// the vector kernel runs dense over each child b-row instead (an
-  /// infinite entry can never win a strict-less compare), clipped to the
-  /// per-row feasible spans below, and only needs the total count for the
-  /// uniform op accounting.
+  /// the vector kernel runs dense over the right child instead (an infinite
+  /// entry can never win a strict-less compare), clipped to its feasible
+  /// span, and only needs the total count for the uniform op accounting.
   std::vector<int> feas_idx_;
   std::vector<double> feas_val_;
-  std::vector<int> feas_row_first_;  ///< per right-child b-row: first feasible
-  std::vector<int> feas_row_last_;   ///< w index (-1 for an all-infeasible row)
+
+  /// The vector kernel's view of a multi-row right child: its b-rows laid
+  /// out at the OUTPUT row length, each padded with +inf, so one dense
+  /// kernel call per feasible left cell covers every b-row (the padding
+  /// lanes add +inf and leave the output untouched). A single-row child is
+  /// read in place instead.
+  std::vector<double> padded_b_;
 
   [[nodiscard]] std::size_t num_nodes() const noexcept { return lo_.size(); }
   void clear_nodes();

@@ -34,12 +34,6 @@ ResourceManager::ResourceManager(const RmConfig& config,
   ws_.curve_energy.resize(static_cast<std::size_t>(system.cores));
   ws_.views.reserve(static_cast<std::size_t>(system.cores));
   ws_.idle_energy.assign(1, 0.0);
-  // Auto: memoize from 8 cores up, where the per-boundary local work (and
-  // the number of boundaries revisiting the same evaluation cell) makes the
-  // table pay for its footprint. Below that, the slot array would cost more
-  // to materialize than the recomputation it saves.
-  memo_on_ = cfg_.memo == RmMemoMode::On ||
-             (cfg_.memo == RmMemoMode::Auto && system_.cores >= 8);
   if (is_baseline_policy(cfg_.policy)) {
     // Size the baseline-policy buffers up front so invoke_baseline's
     // resize() calls are no-ops and the steady-state path stays heap-free.
@@ -71,7 +65,9 @@ void ResourceManager::reset() {
 }
 
 std::int32_t* ResourceManager::memo_slot(const CounterSnapshot& snap) {
-  if (!memo_on_ || snap.memo_key < 0 || snap.oracle.valid()) return nullptr;
+  if (!memo_enabled() || snap.memo_key < 0 || snap.oracle.valid()) {
+    return nullptr;
+  }
   if (snap.memo_db != memo_db_) {
     // First sight of this database: size the slot array to its dense key
     // space and drop entries memoized against any previous one.

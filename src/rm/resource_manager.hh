@@ -55,22 +55,24 @@ enum class RmPolicy {
          policy == RmPolicy::ClassPart;
 }
 
-/// Interval-outcome memoization policy (see ResourceManager). Auto enables
-/// the memo from 8 cores up, where repeated (app, phase, setting) boundaries
-/// dominate the invocation cost; the memo is bit-transparent at any width
-/// (cached outcomes and op charges are exactly what a fresh local
-/// optimization would produce), so the mode only affects wall time.
-enum class RmMemoMode { Auto = 0, On = 1, Off = 2 };
+/// Interval-outcome memoization policy (see ResourceManager). The memo is
+/// bit-transparent at any core count (cached outcomes and op charges are
+/// exactly what a fresh local optimization would produce), so it is on by
+/// default and the mode only affects wall time; Off exists for the
+/// transparency tests that compare the two.
+enum class RmMemoMode { On, Off };
 
 struct RmConfig {
   RmPolicy policy = RmPolicy::Rm3;
   PerfModelKind model = PerfModelKind::Model3;
   EnergyModelOptions energy{};
-  RmMemoMode memo = RmMemoMode::Auto;
+  RmMemoMode memo = RmMemoMode::On;
   /// Optional knob override for ablation studies (e.g. core resizing
   /// without DVFS); when set it replaces the policy-derived knob set for
   /// any non-idle policy.
   std::optional<LocalOptOptions> knobs{};
+
+  [[nodiscard]] bool operator==(const RmConfig&) const = default;
 };
 
 struct RmDecision {
@@ -121,11 +123,14 @@ class ResourceManager {
   /// Drops all cached energy curves (e.g. when the workload changes). The
   /// underlying buffers are kept, so the next boundaries stay allocation-free.
   /// The interval-outcome memo survives: its entries are keyed by database
-  /// identity and remain valid across workload changes on the same database.
+  /// identity (SimDb::id) and remain valid across workload changes on the
+  /// same database, so a reset manager decides exactly like a fresh one.
   void reset();
 
   /// Whether the interval-outcome memo is active for this instance.
-  [[nodiscard]] bool memo_enabled() const noexcept { return memo_on_; }
+  [[nodiscard]] bool memo_enabled() const noexcept {
+    return cfg_.memo == RmMemoMode::On;
+  }
 
   [[nodiscard]] const RmConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const arch::SystemConfig& system() const noexcept { return system_; }
@@ -163,7 +168,7 @@ class ResourceManager {
   /// Returns the memo slot for this snapshot, or nullptr when memoization
   /// does not apply (memo off, unkeyed snapshot, or oracle-backed counters
   /// whose outcome depends on more than the key). Lazily (re)sizes the slot
-  /// array when a new database is seen.
+  /// array when a database id not seen last is stamped on the snapshot.
   [[nodiscard]] std::int32_t* memo_slot(const CounterSnapshot& snap);
 
   RmConfig cfg_;
@@ -173,8 +178,7 @@ class ResourceManager {
   LocalOptimizer local_;
   std::vector<CoreCache> cached_;  ///< per-core curves
   // --- interval-outcome memo (flat array over the db's dense key space) ----
-  bool memo_on_ = false;
-  const workload::SimDb* memo_db_ = nullptr;
+  std::uint64_t memo_db_ = 0;  ///< SimDb::id() the entries belong to
   std::vector<std::int32_t> memo_slot_;  ///< key -> entry index, -1 empty
   std::vector<MemoEntry> memo_entries_;  ///< growing entry pool
   /// All-ones mask backing the mask-free invoke() overload. std::uint8_t

@@ -67,6 +67,29 @@ struct CoreState {
 struct RunScratch::Impl {
   std::vector<CoreState> cores;
   std::vector<rm::CounterSnapshot> snapshots;
+
+  /// The last run's resource manager and the database it was built over
+  /// (SimDb::id, never an address: a database freed and rebuilt in the same
+  /// storage gets a new id).
+  std::optional<rm::ResourceManager> manager;
+  std::uint64_t manager_db = 0;
+
+  /// A manager for (config, system, db): the previous run's, reset(), while
+  /// all three are unchanged - a reset manager decides exactly like a fresh
+  /// one, and its interval-outcome memo keeps every entry of the earlier
+  /// mixes - otherwise a new one.
+  rm::ResourceManager& manager_for(const rm::RmConfig& config,
+                                   const arch::SystemConfig& system,
+                                   const workload::SimDb& db) {
+    if (manager.has_value() && manager_db == db.id() &&
+        manager->config() == config && manager->system() == system) {
+      manager->reset();
+    } else {
+      manager.emplace(config, system, db.power());
+      manager_db = db.id();
+    }
+    return *manager;
+  }
 };
 
 RunScratch::RunScratch() : impl_(std::make_unique<Impl>()) {}
@@ -94,7 +117,18 @@ RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
                                 sys.interval_instructions);
   }
 
-  rm::ResourceManager manager(rm_config, sys, db.power());
+  // Fallback scratch, materialized only when the caller brings none (a
+  // caller-supplied scratch keeps the run free of even this allocation).
+  std::optional<RunScratch> local;
+  if (scratch == nullptr) scratch = &local.emplace();
+  RunScratch::Impl& scr = *scratch->impl_;
+
+  // The idle RM is never invoked (see the event loop), so an idle run leaves
+  // the scratch's manager - and its memo - to the next managed run.
+  rm::ResourceManager* manager =
+      rm_config.policy == rm::RmPolicy::Idle
+          ? nullptr
+          : &scr.manager_for(rm_config, sys, db);
   rm::OverheadModel overheads(opt_.overheads, db.power());
 
   RunResult result;
@@ -103,12 +137,6 @@ RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
   result.policy = rm_config.policy;
   result.model = rm_config.model;
   result.cores.resize(static_cast<std::size_t>(sys.cores));
-
-  // Fallback scratch, materialized only when the caller brings none (a
-  // caller-supplied scratch keeps the run free of even this allocation).
-  std::optional<RunScratch> local;
-  if (scratch == nullptr) scratch = &local.emplace();
-  RunScratch::Impl& scr = *scratch->impl_;
 
   std::vector<CoreState>& cores = scr.cores;
   std::vector<rm::CounterSnapshot>& snapshots = scr.snapshots;
@@ -210,7 +238,7 @@ RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
     // --- RM invocation on the boundary core ---------------------------------
     // The idle RM never reconfigures anything; skip the invocation entirely
     // (it is the energy reference, not a managed run).
-    if (rm_config.policy == rm::RmPolicy::Idle) {
+    if (manager == nullptr) {
       start_interval(st, st.end_s);
       continue;
     }
@@ -219,7 +247,7 @@ RunResult IntervalSimulator::run(const workload::WorkloadMix& mix,
                        perfect ? next_phase : -1,
                        snapshots[static_cast<std::size_t>(next_core)]);
 
-    const rm::RmDecision& decision = manager.invoke(next_core, snapshots);
+    const rm::RmDecision& decision = manager->invoke(next_core, snapshots);
     ++result.rm_invocations;
     result.rm_ops += decision.ops;
 

@@ -86,7 +86,12 @@ using IntervalObserver = std::function<void(const IntervalObservation&)>;
 /// Reusable cross-run scratch for IntervalSimulator::run(): per-core state
 /// and counter-snapshot buffers survive between runs, so a worker thread
 /// executing many sweep rows pays the warmup allocations once instead of
-/// once per row. Opaque and NOT thread-safe - keep one scratch per thread.
+/// once per row. It also keeps the last managed run's ResourceManager and
+/// hands it, reset(), to the next run with the same RmConfig, SystemConfig
+/// (qos_alpha included) and database, so the RM's interval-outcome memo
+/// spans every mix of a sweep configuration. Opaque and NOT thread-safe -
+/// keep one scratch per thread. A scratch may outlive the databases it ran
+/// on.
 class RunScratch {
  public:
   RunScratch();
@@ -105,7 +110,8 @@ class IntervalSimulator {
   IntervalSimulator(const workload::SimDb& db, const SimOptions& options = {});
 
   /// Runs `mix` under the given RM configuration. `scratch` (optional) makes
-  /// repeated runs reuse per-core buffers; results are identical either way.
+  /// repeated runs reuse per-core buffers and the resource manager; results
+  /// are identical either way.
   [[nodiscard]] RunResult run(const workload::WorkloadMix& mix,
                               const rm::RmConfig& rm_config,
                               const IntervalObserver& observer = {},

@@ -42,7 +42,7 @@ void make_snapshot_into(const workload::SimDb& db, int app, int phase,
   // never be served for counters the snapshot no longer holds.
   out.memo_key = db.interval_key(app, phase, current);
   out.memo_space = db.interval_key_space();
-  out.memo_db = &db;
+  out.memo_db = db.id();
 }
 
 rm::CounterSnapshot make_snapshot(const workload::SimDb& db, int app, int phase,

@@ -1,11 +1,17 @@
 #include "workload/sim_db.hh"
 
+#include <atomic>
 #include <utility>
 
 #include "common/check.hh"
 #include "common/thread_pool.hh"
 
 namespace qosrm::workload {
+
+std::uint64_t SimDb::InstanceId::next() noexcept {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 SimDb::SimDb(const SpecSuite& suite, const arch::SystemConfig& system,
              const power::PowerModel& power, const SimDbOptions& options)

@@ -118,6 +118,13 @@ class SimDb {
     return table_.interval_key_space();
   }
 
+  /// Process-unique identity of this instance's contents: never 0, never
+  /// reused, and redrawn whenever the object is copied, moved or assigned
+  /// to. Caches keyed by it (the RM's interval-outcome memo, RunScratch's
+  /// reused ResourceManager) can therefore never confuse a database with one
+  /// built later at the same address.
+  [[nodiscard]] std::uint64_t id() const noexcept { return id_.value; }
+
   /// Interval wall-clock time at the baseline setting (the QoS reference).
   [[nodiscard]] double baseline_time(int app, int phase) const {
     return table_.baseline_time(app, phase);
@@ -140,6 +147,20 @@ class SimDb {
   PhaseStatsOptions phase_opts_;
   std::vector<std::vector<PhaseStats>> stats_;  // [app][phase]
   EvalTable table_;
+
+  /// Draws a fresh id on construction, copy and assignment alike, so the
+  /// defaulted special members of SimDb keep the identity guarantee.
+  struct InstanceId {
+    std::uint64_t value = next();
+    InstanceId() = default;
+    InstanceId(const InstanceId&) noexcept : value(next()) {}
+    InstanceId& operator=(const InstanceId&) noexcept {
+      value = next();
+      return *this;
+    }
+    [[nodiscard]] static std::uint64_t next() noexcept;
+  };
+  InstanceId id_;
 };
 
 }  // namespace qosrm::workload

@@ -9,7 +9,8 @@
 //   2. CORRECTNESS - on genuinely 2-D random surfaces the reduction must
 //      agree with exhaustive search over all (ways, shares) splits.
 //   3. DISPATCH - the AVX2 kernel must match the scalar fallback bit for bit
-//      on 2-D inputs too (per-row feasible spans, row seams, empty rows).
+//      on 2-D inputs too (padded rows, span edges, empty rows, reused
+//      workspaces).
 #include "rm/global_opt.hh"
 
 #include <gtest/gtest.h>
@@ -322,8 +323,8 @@ TEST_P(GlobalOpt2dSimdEquivalence, RandomSurfacesMatchBitwiseAcrossLevels) {
   for (int trial = 0; trial < 60; ++trial) {
     std::vector<EnergyCurve> curves;
     for (int c = 0; c < cores; ++c) {
-      // Odd w-row lengths leave scalar tails inside EVERY b-row; high
-      // infeasibility density produces empty rows (feas_row_first_ == -1).
+      // Odd w-row lengths vary the padding and the kernel's scalar tail;
+      // high infeasibility density produces all-infeasible rows.
       const int num_ways = 3 + static_cast<int>(rng.uniform_u64(11));
       const int num_shares = 1 + static_cast<int>(rng.uniform_u64(4));
       curves.push_back(random_surface(rng, num_ways, num_shares,
@@ -363,6 +364,127 @@ TEST_P(GlobalOpt2dSimdEquivalence, RandomSurfacesMatchBitwiseAcrossLevels) {
 
 INSTANTIATE_TEST_SUITE_P(CoreCounts, GlobalOpt2dSimdEquivalence,
                          ::testing::Values(2, 4, 8, 16));
+
+/// Solves `curves` at (W, B) with a fresh workspace at `level`.
+GlobalOptResult solve_fresh(const std::vector<EnergyCurve>& curves, int W,
+                            int B, simd::Level level, std::uint64_t* ops) {
+  GlobalOptWorkspace ws;
+  GlobalOptResult out;
+  GlobalOptimizer::optimize_into(views_of(curves), W, B, ws, out, ops, level);
+  return out;
+}
+
+// The AVX2 kernel reads a multi-row right child through a copy laid out at
+// the output row stride and padded with +inf, clipped to the span from its
+// first to its last feasible cell. Pin the edges of that span: the right
+// child of the first combine has all-infinite first and last b-rows and
+// exactly one feasible cell, placed at every position of the inner rows in
+// turn (row starts and ends sit next to the padding), and every budget of
+// the problem is solved at both levels and by exhaustive search.
+TEST(GlobalOpt2d, PaddedSpanEdgesMatchScalarBitwise) {
+  if (!avx2_available()) GTEST_SKIP() << "AVX2 kernel unavailable";
+  constexpr int kWays = 5;
+  constexpr int kShares = 4;
+  Rng rng(4242);
+  EnergyCurve left = random_surface(rng, 6, 3, 0.0);
+  EnergyCurve other_a = random_surface(rng, 4, 2, 0.0);
+  EnergyCurve other_b = random_surface(rng, 3, 3, 0.0);
+  for (int row = 1; row + 1 < kShares; ++row) {
+    for (int ib = 0; ib < kWays; ++ib) {
+      EnergyCurve right;
+      right.min_ways = 2;
+      right.min_shares = 1;
+      right.num_shares = kShares;
+      right.energy.assign(kWays * kShares, kInf);
+      right.energy[static_cast<std::size_t>(row * kWays + ib)] = 7.25;
+      const std::vector<EnergyCurve> curves = {left, right, other_a, other_b};
+      int w_lo = 0, w_hi = 0, b_lo = 0, b_hi = 0;
+      for (const EnergyCurve& c : curves) {
+        w_lo += c.min_ways;
+        w_hi += c.max_ways();
+        b_lo += c.min_shares;
+        b_hi += c.max_shares();
+      }
+      int feasible_budgets = 0;
+      for (int W = w_lo; W <= w_hi; ++W) {
+        for (int B = b_lo; B <= b_hi; ++B) {
+          std::uint64_t scalar_ops = 0, avx2_ops = 0;
+          const GlobalOptResult s =
+              solve_fresh(curves, W, B, simd::Level::Scalar, &scalar_ops);
+          const GlobalOptResult v =
+              solve_fresh(curves, W, B, simd::Level::Avx2, &avx2_ops);
+          const GlobalOptResult x = GlobalOptimizer::brute_force(curves, W, B);
+          const std::string what = "row=" + std::to_string(row) +
+                                   " ib=" + std::to_string(ib) +
+                                   " W=" + std::to_string(W) +
+                                   " B=" + std::to_string(B);
+          ASSERT_EQ(s.feasible, v.feasible) << what;
+          ASSERT_EQ(s.feasible, x.feasible) << what;
+          EXPECT_EQ(scalar_ops, avx2_ops) << what;
+          if (!s.feasible) continue;
+          ++feasible_budgets;
+          EXPECT_EQ(s.total_energy, v.total_energy) << what;
+          EXPECT_EQ(s.ways, v.ways) << what;
+          EXPECT_EQ(s.shares, v.shares) << what;
+          // Exhaustive search sums in another order: equal up to rounding.
+          EXPECT_DOUBLE_EQ(s.total_energy, x.total_energy) << what;
+          EXPECT_EQ(v.ways[1], right.min_ways + ib) << what;
+          EXPECT_EQ(v.shares[1], right.min_shares + row) << what;
+        }
+      }
+      EXPECT_GT(feasible_budgets, 0) << "row=" << row << " ib=" << ib;
+    }
+  }
+}
+
+// One workspace carried across problems of alternating shape - ways-only,
+// 2-D, and different core counts - must leave no trace: every result matches
+// a fresh workspace's bit for bit, at every dispatch level.
+TEST(GlobalOpt2d, ReusedWorkspaceMatchesFreshAcrossShapes) {
+  std::vector<simd::Level> levels = {simd::Level::Scalar};
+  if (avx2_available()) levels.push_back(simd::Level::Avx2);
+  for (const simd::Level level : levels) {
+    Rng rng(7077);
+    GlobalOptWorkspace ws;
+    GlobalOptResult out;
+    const int core_counts[] = {4, 2, 8, 3, 16, 5};
+    for (int trial = 0; trial < 48; ++trial) {
+      const int cores = core_counts[trial % 6];
+      const bool one_d = trial % 3 == 0;
+      std::vector<EnergyCurve> curves;
+      for (int c = 0; c < cores; ++c) {
+        const int num_ways = 3 + static_cast<int>(rng.uniform_u64(12));
+        const int num_shares =
+            one_d ? 1 : 1 + static_cast<int>(rng.uniform_u64(4));
+        curves.push_back(random_surface(rng, num_ways, num_shares, 0.3));
+      }
+      int w_lo = 0, w_hi = 0, b_lo = 0, b_hi = 0;
+      for (const EnergyCurve& c : curves) {
+        w_lo += c.min_ways;
+        w_hi += c.max_ways();
+        b_lo += c.min_shares;
+        b_hi += c.max_shares();
+      }
+      const int W = w_lo + static_cast<int>(rng.uniform_u64(
+                               static_cast<std::uint64_t>(w_hi - w_lo + 1)));
+      const int B = b_lo + static_cast<int>(rng.uniform_u64(
+                               static_cast<std::uint64_t>(b_hi - b_lo + 1)));
+      std::uint64_t reused_ops = 0, fresh_ops = 0;
+      GlobalOptimizer::optimize_into(views_of(curves), W, B, ws, out,
+                                     &reused_ops, level);
+      const GlobalOptResult fresh =
+          solve_fresh(curves, W, B, level, &fresh_ops);
+      const std::string what = std::string(simd::level_name(level)) +
+                               " trial=" + std::to_string(trial);
+      ASSERT_EQ(out.feasible, fresh.feasible) << what;
+      EXPECT_EQ(reused_ops, fresh_ops) << what;
+      if (!out.feasible) continue;
+      EXPECT_EQ(out.total_energy, fresh.total_energy) << what;
+      EXPECT_EQ(out.ways, fresh.ways) << what;
+      EXPECT_EQ(out.shares, fresh.shares) << what;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Op accounting on 2-D surfaces: one op is one feasible-pair DP step, now a

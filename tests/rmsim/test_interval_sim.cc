@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "support/shared_db.hh"
@@ -219,25 +221,113 @@ TEST(IntervalSim, AlphaOneViolationAccountingUnchanged) {
   EXPECT_DOUBLE_EQ(d.total_energy_j(), r.total_energy_j());
 }
 
+/// Bitwise equality of everything a sweep row reports about a run.
+void expect_same_run(const RunResult& a, const RunResult& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.total_energy_j(), b.total_energy_j()) << what;
+  EXPECT_EQ(a.wall_time_s, b.wall_time_s) << what;
+  EXPECT_EQ(a.total_violations(), b.total_violations()) << what;
+  EXPECT_EQ(a.rm_ops, b.rm_ops) << what;
+  EXPECT_EQ(a.rm_invocations, b.rm_invocations) << what;
+}
+
 TEST(IntervalSim, ScratchReuseProducesIdenticalResults) {
-  // One RunScratch threaded through several runs (different mixes, policies
-  // and core states) must not change a single bit of any result.
+  // One RunScratch threaded through several runs must not change a single
+  // bit of any result. The scratch keeps the ResourceManager (and its memo)
+  // while config, system and database stay the same, so the sequence covers
+  // reuse over several mixes, a Perfect-model row and an idle row in
+  // between, baseline policies, and an alpha change and back - each run
+  // checked against a scratch-less run.
+  SimOptions relaxed;
+  relaxed.qos_alpha_override = 1.1;
   const IntervalSimulator sim(db());
-  RunScratch scratch;
+  const IntervalSimulator sim_relaxed(db(), relaxed);
   const auto mix_a = mix2("mcf", "libquantum");
   const auto mix_b = mix2("gcc", "namd");
-  const RunResult a1 = sim.run(mix_a, cfg(rm::RmPolicy::Rm3), {}, &scratch);
-  const RunResult b1 = sim.run(mix_b, cfg(rm::RmPolicy::Rm2), {}, &scratch);
-  const RunResult a2 = sim.run(mix_a, cfg(rm::RmPolicy::Rm3));
-  const RunResult b2 = sim.run(mix_b, cfg(rm::RmPolicy::Rm2));
-  EXPECT_EQ(a1.total_energy_j(), a2.total_energy_j());
-  EXPECT_EQ(a1.wall_time_s, a2.wall_time_s);
-  EXPECT_EQ(a1.total_violations(), a2.total_violations());
-  EXPECT_EQ(a1.rm_ops, a2.rm_ops);
-  EXPECT_EQ(b1.total_energy_j(), b2.total_energy_j());
-  EXPECT_EQ(b1.wall_time_s, b2.wall_time_s);
-  EXPECT_EQ(b1.total_violations(), b2.total_violations());
-  EXPECT_EQ(b1.rm_ops, b2.rm_ops);
+  const auto mix_c = mix2("xalancbmk", "bwaves");
+  const auto rm3 = cfg(rm::RmPolicy::Rm3);
+  const auto perfect = cfg(rm::RmPolicy::Rm3, rm::PerfModelKind::Perfect);
+  struct Step {
+    const IntervalSimulator* sim;
+    const workload::WorkloadMix* mix;
+    rm::RmConfig config;
+  };
+  const std::vector<Step> steps = {
+      {&sim, &mix_a, rm3},
+      {&sim, &mix_b, rm3},
+      {&sim, &mix_c, rm3},
+      {&sim, &mix_a, perfect},
+      {&sim, &mix_b, rm3},
+      {&sim, &mix_c, cfg(rm::RmPolicy::Idle)},
+      {&sim, &mix_a, rm3},
+      {&sim, &mix_b, cfg(rm::RmPolicy::Rm2)},
+      {&sim, &mix_c, cfg(rm::RmPolicy::Ucp)},
+      {&sim, &mix_a, cfg(rm::RmPolicy::Ucp)},
+      {&sim, &mix_b, cfg(rm::RmPolicy::Fcp)},
+      {&sim_relaxed, &mix_a, rm3},
+      {&sim_relaxed, &mix_c, rm3},
+      {&sim, &mix_c, rm3},
+      {&sim, &mix_b, rm3},
+  };
+  RunScratch scratch;
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    const Step& s = steps[i];
+    const RunResult reused = s.sim->run(*s.mix, s.config, {}, &scratch);
+    const RunResult fresh = s.sim->run(*s.mix, s.config);
+    expect_same_run(reused, fresh, "step " + std::to_string(i));
+  }
+}
+
+/// A copy of `source` restored from its characterization under `power`: the
+/// same system and key space, different interval energies.
+workload::SimDb restored_db(const workload::SimDb& source,
+                            const power::PowerModel& power) {
+  std::vector<std::vector<workload::PhaseStats>> stats(
+      static_cast<std::size_t>(source.suite().size()));
+  for (int a = 0; a < source.suite().size(); ++a) {
+    for (int ph = 0; ph < source.num_phases(a); ++ph) {
+      stats[static_cast<std::size_t>(a)].push_back(source.stats(a, ph));
+    }
+  }
+  return workload::SimDb(source.suite(), source.system(), power,
+                         source.phase_options(), std::move(stats));
+}
+
+TEST(IntervalSim, ScratchNeverServesAFreedDatabasesOutcomes) {
+  // A scratch outlives the databases it ran on. Two databases built one
+  // after the other in the SAME storage share an address, but not an id:
+  // the second must get a fresh ResourceManager and memo, so both match
+  // scratch-less runs bit for bit.
+  power::PowerParams hot;
+  hot.leak_watt *= 4.0;
+  hot.mem_energy_joule *= 0.25;
+  const power::PowerModel powers[] = {db().power(), power::PowerModel(hot)};
+  const auto mix = mix2("mcf", "libquantum");
+  const auto rm3 = cfg(rm::RmPolicy::Rm3);
+
+  RunScratch scratch;
+  std::optional<workload::SimDb> slot;
+  const workload::SimDb* first_address = nullptr;
+  std::uint64_t first_id = 0;
+  std::vector<RunResult> results;
+  for (const power::PowerModel& power : powers) {
+    slot.reset();
+    slot.emplace(restored_db(db(), power));
+    if (first_address == nullptr) {
+      first_address = &*slot;
+      first_id = slot->id();
+    } else {
+      ASSERT_EQ(&*slot, first_address);
+      ASSERT_NE(slot->id(), first_id);
+    }
+    const IntervalSimulator sim(*slot);
+    const RunResult reused = sim.run(mix, rm3, {}, &scratch);
+    expect_same_run(reused, sim.run(mix, rm3),
+                    "database " + std::to_string(results.size()));
+    results.push_back(reused);
+  }
+  // The databases really differ, so a stale outcome would have shown.
+  EXPECT_NE(results[0].rm_ops, results[1].rm_ops);
 }
 
 TEST(IntervalSim, SavingsAgainstSelfIsZero) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "support/shared_db.hh"
@@ -219,6 +220,22 @@ TEST(SimDb, IntervalKeysAreDenseAndUnique) {
                 d.interval_key(app, ph, {arch::CoreSize::M, 0, sys.llc.max_ways}));
     }
   }
+}
+
+TEST(SimDb, IdIsNonZeroAndRedrawnOnCopyAndAssignment) {
+  // Caches keyed by the id must never mistake one database for another, so
+  // every new object - a copy included - and every assignment draws a new id.
+  ASSERT_NE(db().id(), 0u);
+  SimDb copy = db();
+  EXPECT_NE(copy.id(), db().id());
+  const std::uint64_t before = copy.id();
+  copy = db();
+  EXPECT_NE(copy.id(), before);
+  EXPECT_NE(copy.id(), db().id());
+  const std::uint64_t copy_id = copy.id();
+  const SimDb moved = std::move(copy);
+  EXPECT_NE(moved.id(), copy_id);
+  EXPECT_EQ(moved.interval_key_space(), db().interval_key_space());
 }
 
 TEST(SimDb, CachedAggregatesMatchPerPhaseRecomputation) {
