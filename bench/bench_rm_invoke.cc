@@ -95,8 +95,10 @@ const workload::SimDb& bench_db(int cores, int bw_shares = 1) {
 }
 
 /// A representative mix: cache-sensitive, streaming and CPU-bound apps.
+/// `oracle_phase` >= 0 attaches the perfect-model oracle for that phase.
 std::vector<rm::CounterSnapshot> bench_snapshots(const workload::SimDb& db,
-                                                 int cores) {
+                                                 int cores,
+                                                 int oracle_phase = -1) {
   static const char* const kApps[] = {"mcf", "libquantum", "bwaves",
                                       "xalancbmk", "omnetpp", "perlbench",
                                       "hmmer", "gobmk"};
@@ -104,7 +106,7 @@ std::vector<rm::CounterSnapshot> bench_snapshots(const workload::SimDb& db,
   const workload::Setting base = workload::baseline_setting(db.system());
   for (int k = 0; k < cores; ++k) {
     snaps.push_back(rmsim::make_snapshot(
-        db, db.suite().index_of(kApps[k % 8]), 0, base));
+        db, db.suite().index_of(kApps[k % 8]), 0, base, oracle_phase));
   }
   return snaps;
 }
@@ -116,24 +118,14 @@ void report_allocs(benchmark::State& state, std::uint64_t before) {
       static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
 }
 
-/// ResourceManager::invoke at a given (policy, core count, bandwidth-share
-/// count). The manager is warmed up with one invocation per core before
-/// measurement, so the steady state (every per-core curve cached, workspaces
-/// at capacity) is measured. bw_shares=1 is the classic ways-only problem;
-/// bw_shares>1 runs the 2-D (ways x shares) DP, which is required to stay
-/// allocation-free too and within a small constant factor of the 1-D cost
-/// (the share axis is deliberately narrow - see arch::bw_config_for_shares).
-void BM_RmInvoke(benchmark::State& state) {
-  const auto policy = static_cast<rm::RmPolicy>(state.range(0));
-  const int cores = static_cast<int>(state.range(1));
-  const int bw_shares = static_cast<int>(state.range(2));
-  const workload::SimDb& db = bench_db(cores, bw_shares);
-  rm::RmConfig cfg;
-  cfg.policy = policy;
-  cfg.model = rm::PerfModelKind::Model3;
+/// Steady-state invoke loop shared by the RM benchmarks: the manager is
+/// warmed up with one invocation per core before measurement, so every
+/// per-core curve is cached and the workspaces are at capacity.
+void measure_invoke(benchmark::State& state, const rm::RmConfig& cfg,
+                    const workload::SimDb& db,
+                    const std::vector<rm::CounterSnapshot>& snaps) {
   rm::ResourceManager manager(cfg, db.system(), db.power());
-  const auto snaps = bench_snapshots(db, cores);
-
+  const int cores = static_cast<int>(snaps.size());
   for (int k = 0; k < cores; ++k) benchmark::DoNotOptimize(manager.invoke(k, snaps));
 
   int core = 0;
@@ -143,6 +135,22 @@ void BM_RmInvoke(benchmark::State& state) {
     core = (core + 1) % cores;
   }
   report_allocs(state, before);
+}
+
+/// ResourceManager::invoke at a given (policy, core count, bandwidth-share
+/// count). bw_shares=1 is the classic ways-only problem; bw_shares>1 runs
+/// the 2-D (ways x shares) DP, which is required to stay allocation-free too
+/// and within a small constant factor of the 1-D cost (the share axis is
+/// deliberately narrow - see arch::bw_config_for_shares).
+void BM_RmInvoke(benchmark::State& state) {
+  const auto policy = static_cast<rm::RmPolicy>(state.range(0));
+  const int cores = static_cast<int>(state.range(1));
+  const int bw_shares = static_cast<int>(state.range(2));
+  const workload::SimDb& db = bench_db(cores, bw_shares);
+  rm::RmConfig cfg;
+  cfg.policy = policy;
+  cfg.model = rm::PerfModelKind::Model3;
+  measure_invoke(state, cfg, db, bench_snapshots(db, cores));
 }
 BENCHMARK(BM_RmInvoke)
     ->ArgsProduct({{static_cast<long>(rm::RmPolicy::Rm1),
@@ -160,6 +168,26 @@ BENCHMARK(BM_RmInvoke)
                    {4},
                    {4}})
     ->ArgNames({"policy", "cores", "bw_shares"});
+
+/// ResourceManager::invoke for the perfect-model comparison point (Fig. 9):
+/// Perfect time with perfect energy over oracle-backed snapshots, the
+/// pairing the sweep's `perfect` model axis runs and the memo keys by the
+/// oracle's cell.
+void BM_RmInvokePerfect(benchmark::State& state) {
+  const auto policy = static_cast<rm::RmPolicy>(state.range(0));
+  const int cores = static_cast<int>(state.range(1));
+  const workload::SimDb& db = bench_db(cores);
+  rm::RmConfig cfg;
+  cfg.policy = policy;
+  cfg.model = rm::PerfModelKind::Perfect;
+  cfg.energy.perfect = true;
+  measure_invoke(state, cfg, db, bench_snapshots(db, cores, /*oracle_phase=*/0));
+}
+BENCHMARK(BM_RmInvokePerfect)
+    ->ArgsProduct({{static_cast<long>(rm::RmPolicy::Rm1),
+                    static_cast<long>(rm::RmPolicy::Rm3)},
+                   {4}})
+    ->ArgNames({"policy", "cores"});
 
 /// Counter-snapshot construction returning a fresh snapshot per call (the
 /// pre-workspace simulator pattern; kept for before/after comparison).

@@ -21,6 +21,9 @@ namespace qosrm::rm {
 
 /// Oracle handle for the "perfect model": identifies the next interval's
 /// phase in the simulation database. Null/absent in any realistic setup.
+/// Under Perfect time with perfect energy the local optimization reads only
+/// this (db, app, phase), so the RM memoizes such snapshots by the oracle's
+/// cell instead of memo_key (see ResourceManager::memo_slot).
 struct OracleRef {
   const workload::SimDb* db = nullptr;
   int app = -1;
@@ -64,7 +67,10 @@ struct CounterSnapshot {
   /// memoize per-interval local-optimization outcomes. A refresh of the
   /// snapshot restamps all three fields, so a memo keyed by them can never
   /// serve an outcome for counters that are no longer in the snapshot.
-  /// memo_key < 0 (hand-built snapshots) disables memoization.
+  /// memo_key < 0 (hand-built snapshots) disables memoization. The RM keys
+  /// by these fields only when `oracle` is absent; an oracle-backed snapshot
+  /// is keyed by the oracle's cell (Perfect time with perfect energy) or not
+  /// memoized at all (any other oracle pairing).
   std::int64_t memo_key = -1;
   std::int64_t memo_space = 0;   ///< db.interval_key_space()
   std::uint64_t memo_db = 0;     ///< producing database's SimDb::id()

@@ -65,21 +65,35 @@ void ResourceManager::reset() {
 }
 
 std::int32_t* ResourceManager::memo_slot(const CounterSnapshot& snap) {
-  if (!memo_enabled() || snap.memo_key < 0 || snap.oracle.valid()) {
-    return nullptr;
+  if (!memo_enabled() || snap.memo_key < 0) return nullptr;
+  // With perfect time AND perfect energy every prediction is an oracle
+  // lookup, so the outcome depends only on the oracle's (app, phase); its
+  // baseline cell names that pair in the database's dense key space.
+  std::int64_t key = snap.memo_key;
+  std::int64_t space = snap.memo_space;
+  std::uint64_t db_id = snap.memo_db;
+  if (snap.oracle.valid()) {
+    if (cfg_.model != PerfModelKind::Perfect || !cfg_.energy.perfect) {
+      return nullptr;
+    }
+    const workload::SimDb& odb = *snap.oracle.db;
+    key = odb.interval_key(snap.oracle.app, snap.oracle.phase,
+                           workload::baseline_setting(system_));
+    space = odb.interval_key_space();
+    db_id = odb.id();
   }
-  if (snap.memo_db != memo_db_) {
+  if (db_id != memo_db_) {
     // First sight of this database: size the slot array to its dense key
     // space and drop entries memoized against any previous one.
-    QOSRM_CHECK(snap.memo_key < snap.memo_space);
-    memo_slot_.assign(static_cast<std::size_t>(snap.memo_space), -1);
+    QOSRM_CHECK(key < space);
+    memo_slot_.assign(static_cast<std::size_t>(space), -1);
     memo_entries_.clear();
-    memo_db_ = snap.memo_db;
+    memo_db_ = db_id;
   }
-  if (snap.memo_key >= static_cast<std::int64_t>(memo_slot_.size())) {
+  if (key >= static_cast<std::int64_t>(memo_slot_.size())) {
     return nullptr;  // defensively refuse an out-of-range key
   }
-  return &memo_slot_[static_cast<std::size_t>(snap.memo_key)];
+  return &memo_slot_[static_cast<std::size_t>(key)];
 }
 
 const RmDecision& ResourceManager::invoke(

@@ -166,9 +166,12 @@ class ResourceManager {
   };
 
   /// Returns the memo slot for this snapshot, or nullptr when memoization
-  /// does not apply (memo off, unkeyed snapshot, or oracle-backed counters
-  /// whose outcome depends on more than the key). Lazily (re)sizes the slot
-  /// array when a database id not seen last is stamped on the snapshot.
+  /// does not apply (memo off or unkeyed snapshot). The key follows what the
+  /// local optimization reads: without an oracle, the snapshot's measured
+  /// cell (memo_key); with an oracle under Perfect time and perfect energy,
+  /// the oracle's (app, phase) at the baseline setting; any other oracle
+  /// pairing is not memoized. Lazily (re)sizes the slot array when the key's
+  /// database id differs from the one seen last.
   [[nodiscard]] std::int32_t* memo_slot(const CounterSnapshot& snap);
 
   RmConfig cfg_;

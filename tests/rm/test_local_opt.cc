@@ -159,6 +159,53 @@ TEST(LocalOpt, Rm3SearchCostsMoreOpsThanRm2) {
   EXPECT_GT(ops3, ops2);  // three core sizes vs one
 }
 
+// Under Perfect time with perfect energy every prediction is an oracle
+// lookup, so the outcome is a function of the oracle's (app, phase) alone -
+// the property the RM's interval-outcome memo keys those snapshots by.
+// Snapshots measured at different (phase, setting) cells but sharing the
+// oracle cell must produce the same surface and op count, bit for bit.
+TEST(LocalOpt, PerfectOutcomeDependsOnlyOnOracleCell) {
+  const arch::SystemConfig& sys = db().system();
+  const PerfModel perf(PerfModelKind::Perfect, sys);
+  EnergyModelOptions energy_opt;
+  energy_opt.perfect = true;
+  const OnlineEnergyModel energy(db().power(), energy_opt);
+  const workload::Setting base = workload::baseline_setting(sys);
+  const workload::Setting other{arch::CoreSize::L, 1, base.w + 3, base.b};
+  for (const char* name : {"mcf", "libquantum", "xalancbmk"}) {
+    const int app = db().suite().index_of(name);
+    ASSERT_GE(db().num_phases(app), 2) << name;
+    for (const LocalOptOptions opt :
+         {LocalOptOptions{false, false}, LocalOptOptions{true, false},
+          LocalOptOptions{true, true}}) {
+      const LocalOptimizer lo(perf, energy, opt);
+      for (int oracle_phase = 0; oracle_phase < 2; ++oracle_phase) {
+        const CounterSnapshot a =
+            rmsim::make_snapshot(db(), app, 0, base, oracle_phase);
+        const CounterSnapshot b =
+            rmsim::make_snapshot(db(), app, 1, other, oracle_phase);
+        ASSERT_NE(a.memo_key, b.memo_key);
+        std::uint64_t ops_a = 0, ops_b = 0;
+        const LocalOptResult ra = lo.optimize(a, &ops_a);
+        const LocalOptResult rb = lo.optimize(b, &ops_b);
+        const std::string where =
+            std::string(name) + "/oracle phase " + std::to_string(oracle_phase);
+        EXPECT_EQ(ops_a, ops_b) << where;
+        ASSERT_EQ(ra.choices.size(), rb.choices.size()) << where;
+        for (std::size_t i = 0; i < ra.choices.size(); ++i) {
+          const WayChoice& ca = ra.choices[i];
+          const WayChoice& cb = rb.choices[i];
+          EXPECT_EQ(ca.feasible, cb.feasible) << where << " cell " << i;
+          EXPECT_TRUE(ca.setting == cb.setting) << where << " cell " << i;
+          EXPECT_EQ(ca.predicted_time_s, cb.predicted_time_s)
+              << where << " cell " << i;
+          EXPECT_EQ(ca.energy_j, cb.energy_j) << where << " cell " << i;
+        }
+      }
+    }
+  }
+}
+
 // The optimizer hoists the target-invariant Eq. 1 terms out of its
 // (w, c, f) sweep. This reference loop evaluates the model directly per
 // setting - exactly what the pre-hoisting implementation did - and every

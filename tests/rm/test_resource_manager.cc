@@ -267,40 +267,92 @@ TEST(ResourceManagerMemo, SnapshotRefreshNeverServesStaleOutcome) {
   }
 }
 
-TEST(ResourceManagerMemo, OracleSnapshotsBypassTheMemo) {
-  // Oracle-backed snapshots (Perfect model) depend on the oracle phase, not
-  // just the evaluation cell, so they must never be memoized. Two managers
-  // with the memo on and off must agree on every Perfect-model decision.
-  ResourceManager memoized(
-      [] {
-        RmConfig cfg = config(RmPolicy::Rm3, PerfModelKind::Perfect);
-        cfg.memo = RmMemoMode::On;
-        return cfg;
-      }(),
-      db().system(), db().power());
-  ResourceManager plain(
-      [] {
-        RmConfig cfg = config(RmPolicy::Rm3, PerfModelKind::Perfect);
-        cfg.memo = RmMemoMode::Off;
-        return cfg;
-      }(),
-      db().system(), db().power());
+/// One step of an oracle-snapshot sequence: core `core`'s snapshot is
+/// refreshed in place to (its app, `phase`, `current`) with `oracle_phase`,
+/// then the RM is invoked on its behalf. core < 0 means reset().
+struct OracleStep {
+  int core;
+  int phase;
+  Setting current;
+  int oracle_phase;
+};
 
+/// Runs `seq` through a memo-on and a memo-off manager of `energy_perfect`
+/// pairing and requires bitwise-equal decisions. Returns the memo-off
+/// decisions so callers can check the sequence is sensitive to the oracle.
+std::vector<RmDecision> expect_oracle_memo_transparent(
+    const std::vector<OracleStep>& seq, bool energy_perfect) {
+  RmConfig cfg = memo_config(RmMemoMode::On);
+  cfg.model = PerfModelKind::Perfect;
+  cfg.energy.perfect = energy_perfect;
+  ResourceManager memoized(cfg, db().system(), db().power());
+  cfg.memo = RmMemoMode::Off;
+  ResourceManager plain(cfg, db().system(), db().power());
   const Setting base = workload::baseline_setting(db().system());
+  // Both apps decide differently across their first two phases.
+  const int apps[] = {db().suite().index_of("soplex"),
+                      db().suite().index_of("bwaves")};
   std::vector<CounterSnapshot> snaps(2);
-  for (int round = 0; round < 4; ++round) {
-    rmsim::make_snapshot_into(db(), db().suite().index_of("mcf"), round % 2,
-                              base, (round + 1) % 2, snaps[0]);
-    rmsim::make_snapshot_into(db(), db().suite().index_of("libquantum"),
-                              round % 2, base, (round + 1) % 2, snaps[1]);
-    const RmDecision a = memoized.invoke(round % 2, snaps);
-    const RmDecision b = plain.invoke(round % 2, snaps);
-    for (std::size_t k = 0; k < a.settings.size(); ++k) {
-      EXPECT_TRUE(a.settings[k] == b.settings[k])
-          << "round " << round << " core " << k;
-    }
-    EXPECT_EQ(a.ops, b.ops) << "round " << round;
+  for (int k = 0; k < 2; ++k) {
+    rmsim::make_snapshot_into(db(), apps[k], 0, base, 0, snaps[k]);
   }
+  std::vector<RmDecision> plain_decisions;
+  for (std::size_t step = 0; step < seq.size(); ++step) {
+    const OracleStep& s = seq[step];
+    if (s.core < 0) {
+      memoized.reset();
+      plain.reset();
+      continue;
+    }
+    rmsim::make_snapshot_into(db(), apps[s.core], s.phase, s.current,
+                              s.oracle_phase,
+                              snaps[static_cast<std::size_t>(s.core)]);
+    const RmDecision a = memoized.invoke(s.core, snaps);
+    const RmDecision b = plain.invoke(s.core, snaps);
+    EXPECT_TRUE(a.settings == b.settings) << "step " << step;
+    EXPECT_EQ(a.ops, b.ops) << "step " << step;
+    EXPECT_EQ(a.feasible, b.feasible) << "step " << step;
+    plain_decisions.push_back(b);
+  }
+  return plain_decisions;
+}
+
+TEST(ResourceManagerMemo, PerfectOracleSnapshotsMemoizeByOracleCell) {
+  // Under Perfect time with perfect energy the local optimization reads only
+  // the oracle's (app, phase), so the memo keys those snapshots by the
+  // oracle cell. The sequence revisits one current cell with different
+  // oracle phases (a current-cell key would replay the wrong outcome),
+  // reaches one oracle phase from different current cells (the oracle key
+  // must hit), and repeats both after a reset(). Memo on and off must agree
+  // bit for bit.
+  const Setting base = workload::baseline_setting(db().system());
+  const Setting big{arch::CoreSize::L, 1, base.w + 2, base.b};
+  const Setting small{arch::CoreSize::S, arch::VfTable::kNumPoints - 1,
+                      base.w - 2, base.b};
+  const std::vector<OracleStep> seq = {
+      {0, 0, base, 0},  {1, 0, base, 0},   {0, 0, base, 1},
+      {1, 0, base, 1},  {0, 1, big, 1},    {0, 0, small, 1},
+      {1, 1, small, 0}, {0, 1, big, 0},    {-1, 0, base, 0} /* reset */,
+      {0, 0, base, 1},  {0, 0, base, 0},   {1, 1, big, 1},
+      {0, 1, small, 0}, {1, 0, small, 1},  {0, 0, big, 1}};
+  const std::vector<RmDecision> plain = expect_oracle_memo_transparent(seq, true);
+  // Sensitivity: the same current cell under different oracle phases must
+  // decide differently, or the sequence could not expose a wrong key.
+  EXPECT_FALSE(plain[0].settings == plain[2].settings);
+  EXPECT_NE(plain[0].ops, plain[2].ops);
+}
+
+TEST(ResourceManagerMemo, PerfectTimeWithOnlineEnergyBypassesTheMemo) {
+  // Perfect time with the online energy model reads the oracle cell AND the
+  // measured counters, so no single cell keys the outcome: such snapshots
+  // bypass the memo and still match a memo-off manager.
+  const Setting base = workload::baseline_setting(db().system());
+  const Setting big{arch::CoreSize::L, 1, base.w + 2, base.b};
+  const std::vector<OracleStep> seq = {
+      {0, 0, base, 1}, {1, 0, base, 0}, {0, 1, big, 1},  {0, 0, base, 0},
+      {1, 1, big, 0},  {0, 0, base, 1}, {-1, 0, base, 0}, {0, 1, big, 1},
+      {1, 0, base, 0}, {0, 1, base, 1}};
+  (void)expect_oracle_memo_transparent(seq, false);
 }
 
 TEST(ResourceManager, PolicyNames) {

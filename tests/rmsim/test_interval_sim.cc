@@ -237,7 +237,10 @@ TEST(IntervalSim, ScratchReuseProducesIdenticalResults) {
   // while config, system and database stay the same, so the sequence covers
   // reuse over several mixes, a Perfect-model row and an idle row in
   // between, baseline policies, and an alpha change and back - each run
-  // checked against a scratch-less run.
+  // checked against a scratch-less run and a memo-off run. The sweep's
+  // perfect rows (Perfect time with perfect energy, memoized by the oracle
+  // cell) run on consecutive mixes, so their memo is reused across mixes,
+  // and once more after the alpha change.
   SimOptions relaxed;
   relaxed.qos_alpha_override = 1.1;
   const IntervalSimulator sim(db());
@@ -247,6 +250,10 @@ TEST(IntervalSim, ScratchReuseProducesIdenticalResults) {
   const auto mix_c = mix2("xalancbmk", "bwaves");
   const auto rm3 = cfg(rm::RmPolicy::Rm3);
   const auto perfect = cfg(rm::RmPolicy::Rm3, rm::PerfModelKind::Perfect);
+  auto sweep_perfect = perfect;  // the sweep's Fig. 9 pairing
+  sweep_perfect.energy.perfect = true;
+  auto sweep_perfect_rm1 = sweep_perfect;
+  sweep_perfect_rm1.policy = rm::RmPolicy::Rm1;
   struct Step {
     const IntervalSimulator* sim;
     const workload::WorkloadMix* mix;
@@ -264,17 +271,29 @@ TEST(IntervalSim, ScratchReuseProducesIdenticalResults) {
       {&sim, &mix_c, cfg(rm::RmPolicy::Ucp)},
       {&sim, &mix_a, cfg(rm::RmPolicy::Ucp)},
       {&sim, &mix_b, cfg(rm::RmPolicy::Fcp)},
+      {&sim, &mix_a, sweep_perfect},
+      {&sim, &mix_b, sweep_perfect},
+      {&sim, &mix_c, sweep_perfect},
+      {&sim, &mix_a, sweep_perfect_rm1},
+      {&sim, &mix_b, sweep_perfect_rm1},
       {&sim_relaxed, &mix_a, rm3},
       {&sim_relaxed, &mix_c, rm3},
+      {&sim_relaxed, &mix_b, sweep_perfect},
+      {&sim_relaxed, &mix_c, sweep_perfect},
       {&sim, &mix_c, rm3},
       {&sim, &mix_b, rm3},
+      {&sim, &mix_a, sweep_perfect},
   };
   RunScratch scratch;
   for (std::size_t i = 0; i < steps.size(); ++i) {
     const Step& s = steps[i];
+    rm::RmConfig memo_off = s.config;
+    memo_off.memo = rm::RmMemoMode::Off;
     const RunResult reused = s.sim->run(*s.mix, s.config, {}, &scratch);
     const RunResult fresh = s.sim->run(*s.mix, s.config);
+    const RunResult plain = s.sim->run(*s.mix, memo_off);
     expect_same_run(reused, fresh, "step " + std::to_string(i));
+    expect_same_run(reused, plain, "step " + std::to_string(i) + " memo off");
   }
 }
 
