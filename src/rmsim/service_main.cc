@@ -17,141 +17,80 @@
 // the knee: the first load whose p99 Eq. 6 magnitude crosses
 // --knee-threshold (rmsim/report.hh, build_service_knee_report).
 //
-// Three execution modes, mirroring sweep_main:
-//   (default)     run the whole grid in this process
-//   --shard=i/N   worker: run only shard i's row range and write a part
-//                 file (--part-output) for a later merge
-//   --workers=N   orchestrator: fork/exec N shard workers of this binary,
-//                 wait, merge their parts and write the same outputs as a
-//                 single-process run (byte-identical)
-#include <unistd.h>
-
-#include <algorithm>
-#include <chrono>
-#include <csignal>
+// Default, --shard worker and --workers orchestrator modes come from the
+// sharded-job driver (rmsim/job.hh); this file holds only the service grid.
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/cli.hh"
-#include "common/file_util.hh"
 #include "common/str.hh"
-#include "common/subprocess.hh"
-#include "power/power_model.hh"
 #include "rmsim/cli_flags.hh"
+#include "rmsim/job.hh"
 #include "rmsim/report.hh"
 #include "rmsim/service.hh"
 #include "rmsim/shard.hh"
 #include "rmsim/sweep.hh"
 #include "workload/arrival_gen.hh"
-#include "workload/db_io.hh"
-#include "workload/sim_db.hh"
-#include "workload/spec_suite.hh"
 
 namespace {
 
 namespace workload = qosrm::workload;
 namespace rmsim = qosrm::rmsim;
-using Clock = std::chrono::steady_clock;
 
-void print_usage() {
-  std::puts(
-      "service_main: open-loop colocation service over the RM simulator\n"
-      "  --cores=N          size of the served core pool (default 16)\n"
-      "  --bw-shares=N      memory-bandwidth shares per core (default 1 =\n"
-      "                     unpartitioned bandwidth; N >= 2 adds the CBP\n"
-      "                     share axis to the optimizer's knob space)\n"
-      "  --arrivals=LIST    comma list of poisson|bursty|diurnal arrival\n"
-      "                     patterns (default poisson)\n"
-      "  --num-arrivals=N   arrivals per grid point (default 5000)\n"
-      "  --load=LIST        comma list of offered utilizations > 0\n"
-      "                     (default 0.8; --loads is an accepted alias)\n"
-      "  --admission=LIST   comma list of fifo|sdf|qos-aware admission\n"
-      "                     policies (default fifo); every admission cell of\n"
-      "                     one (pattern, load) faces the identical trace\n"
-      "  --policies=LIST    comma list of idle|rm1|rm2|rm3|ucp|fcp|classpart\n"
-      "                     (default idle,rm1,rm2,rm3)\n"
-      "  --model=NAME       performance model: model1|model2|model3|perfect\n"
-      "                     (exactly one; default model3)\n"
-      "  --alphas=LIST      comma list of QoS alphas; 0 = system default\n"
-      "                     (default 0)\n"
-      "  --seed=N           arrival-trace seed (default 2020)\n"
-      "  --demand-min=N     per-app demand lower bound, intervals (default 40)\n"
-      "  --demand-max=N     per-app demand upper bound (default 160)\n"
-      "  --queue-cap=N      admission-queue capacity (default 4096)\n"
-      "  --threads=N        grid parallelism; 0 = hardware concurrency\n"
-      "  --rows-csv=PATH    per-run CSV output (default service_rows.csv)\n"
-      "  --report-json=PATH tail-metric report (byte-stable JSON, stamped\n"
-      "                     with the service fingerprint; optional)\n"
-      "  --knee-report=PATH aggregate knee report: folds the load axis into\n"
-      "                     one p99-violation curve per {pattern x admission\n"
-      "                     x policy x alpha} and marks the first load whose\n"
-      "                     p99 crosses the threshold (byte-stable JSON)\n"
-      "  --knee-threshold=X p99 Eq. 6 magnitude counting as past the knee\n"
-      "                     (> 0; default 0.1; requires --knee-report)\n"
-      "  --knee-csv-prefix=P  also write per-pattern knee curves to\n"
-      "                     <P><pattern>.csv (requires --knee-report)\n"
-      "  --db-cache=PATH    simulation-database snapshot: load it when the\n"
-      "                     file exists (a stale/corrupt snapshot is an\n"
-      "                     error), otherwise characterize and save it; a\n"
-      "                     directory selects <dir>/suite-c<cores>.qosdb\n"
-      "                     (same layout as the benches)\n"
-      "multi-process sharding:\n"
-      "  --shard=I/N        worker mode: run only rows of shard I of N and\n"
-      "                     write them to --part-output instead of CSV\n"
-      "  --part-output=PATH part file this worker writes (requires --shard)\n"
-      "  --workers=N        orchestrator mode: fork N --shard workers of\n"
-      "                     this binary, merge their parts, write the CSVs\n"
-      "  --parts-dir=DIR    where the orchestrator keeps part files\n"
-      "                     (default: next to --rows-csv)\n"
-      "  --resume           orchestrator: skip shards whose part file is\n"
-      "                     already complete and matching; re-run the rest\n"
-      "  --keep-parts       orchestrator: keep part files after the merge\n"
-      "                     (default: removed on success)");
-}
+/// --help text; the driver appends the --db-cache and sharding flags.
+constexpr const char* kUsage =
+    "service_main: open-loop colocation service over the RM simulator\n"
+    "  --cores=N          size of the served core pool (default 16)\n"
+    "  --bw-shares=N      memory-bandwidth shares per core (default 1 =\n"
+    "                     unpartitioned bandwidth; N >= 2 adds the CBP\n"
+    "                     share axis to the optimizer's knob space)\n"
+    "  --arrivals=LIST    comma list of poisson|bursty|diurnal arrival\n"
+    "                     patterns (default poisson)\n"
+    "  --num-arrivals=N   arrivals per grid point (default 5000)\n"
+    "  --load=LIST        comma list of offered utilizations > 0\n"
+    "                     (default 0.8; --loads is an accepted alias)\n"
+    "  --admission=LIST   comma list of fifo|sdf|qos-aware admission\n"
+    "                     policies (default fifo); every admission cell of\n"
+    "                     one (pattern, load) faces the identical trace\n"
+    "  --policies=LIST    comma list of idle|rm1|rm2|rm3|ucp|fcp|classpart\n"
+    "                     (default idle,rm1,rm2,rm3)\n"
+    "  --model=NAME       performance model: model1|model2|model3|perfect\n"
+    "                     (exactly one; default model3)\n"
+    "  --alphas=LIST      comma list of QoS alphas; 0 = system default\n"
+    "                     (default 0)\n"
+    "  --seed=N           arrival-trace seed (default 2020)\n"
+    "  --demand-min=N     per-app demand lower bound, intervals (default 40)\n"
+    "  --demand-max=N     per-app demand upper bound (default 160)\n"
+    "  --queue-cap=N      admission-queue capacity (default 4096)\n"
+    "  --threads=N        grid parallelism; 0 = hardware concurrency\n"
+    "  --rows-csv=PATH    per-run CSV output (default service_rows.csv)\n"
+    "  --report-json=PATH tail-metric report (byte-stable JSON, stamped\n"
+    "                     with the service fingerprint; optional)\n"
+    "  --knee-report=PATH aggregate knee report: folds the load axis into\n"
+    "                     one p99-violation curve per {pattern x admission\n"
+    "                     x policy x alpha} and marks the first load whose\n"
+    "                     p99 crosses the threshold (byte-stable JSON)\n"
+    "  --knee-threshold=X p99 Eq. 6 magnitude counting as past the knee\n"
+    "                     (> 0; default 0.1; requires --knee-report)\n"
+    "  --knee-csv-prefix=P  also write per-pattern knee curves to\n"
+    "                     <P><pattern>.csv (requires --knee-report)";
 
-std::string self_exe_path(const char* argv0) {
-  // /proc/self/exe survives PATH-relative invocation and cwd changes;
-  // argv[0] is the fallback on exotic systems.
-  std::error_code ec;
-  const std::filesystem::path self =
-      std::filesystem::read_symlink("/proc/self/exe", ec);
-  return ec ? std::string(argv0) : self.string();
-}
-
-/// Everything both the orchestrator and its workers must agree on, parsed
-/// and validated once, before any expensive work.
+/// The service grid, config and outputs, parsed and validated once, before
+/// any expensive work. It lives in main: the job's hooks refer to it.
 struct ServiceSetup {
   int cores = 16;
   int bw_shares = 1;  ///< baseline memory-bandwidth shares per core
   int threads = 0;
-  std::string arrivals_spec;
-  std::string load_spec;
-  std::string admissions_spec;
-  std::string policies_spec;
-  std::string model_spec;
-  std::string alphas_spec;
-  std::string db_cache;  ///< resolved path ("" = no cache)
   rmsim::ServiceGrid grid;
   rmsim::ServiceConfig config;
+  std::string rows_csv;
+  std::string report_json;
+  std::string knee_report;
+  std::string knee_csv_prefix;
+  double knee_threshold = rmsim::kDefaultKneeThreshold;
 };
-
-/// The grid+config fingerprint every process must agree on. Computable
-/// without building the database: the db identity is itself a fingerprint
-/// of (suite, system, phase options).
-std::uint64_t setup_fingerprint(const ServiceSetup& setup) {
-  qosrm::arch::SystemConfig system;
-  system.cores = setup.cores;
-  system.bw = qosrm::arch::bw_config_for_shares(setup.bw_shares);
-  const std::uint64_t db_fp = workload::simdb_fingerprint(
-      workload::spec_suite(), system, workload::PhaseStatsOptions{});
-  return rmsim::service_fingerprint(setup.grid, setup.config, db_fp);
-}
 
 void print_rows(const std::vector<rmsim::ServiceRow>& rows) {
   std::printf("\n%-8s %6s %-9s %-6s %9s %9s %9s %12s %10s %10s\n", "pattern",
@@ -169,167 +108,91 @@ void print_rows(const std::vector<rmsim::ServiceRow>& rows) {
   }
 }
 
-double secs(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-/// --report-json: the tail-metric report of this run, stamped with the
-/// service fingerprint so it can never be matched against foreign rows.
-bool write_report(const std::vector<rmsim::ServiceRow>& rows,
-                  const rmsim::ServiceGridShape& shape,
-                  std::uint64_t fingerprint, const std::string& path) {
+/// The rows CSV, the optional tail-metric report (stamped with the service
+/// fingerprint so it can never be matched against foreign rows), the
+/// optional knee report and curve CSVs, then the row table.
+bool write_outputs(const ServiceSetup& setup,
+                   const std::vector<rmsim::ServiceRow>& rows,
+                   const rmsim::ServiceGridShape& shape,
+                   std::uint64_t fingerprint) {
+  rmsim::write_service_csv(rows, setup.rows_csv);
+  std::printf("wrote %zu rows to %s\n", rows.size(), setup.rows_csv.c_str());
   std::string error;
-  if (!rmsim::write_service_report_json(rows, shape, fingerprint, path,
-                                        &error)) {
-    std::fprintf(stderr, "--report-json: %s\n", error.c_str());
-    return false;
-  }
-  std::printf("wrote service report to %s\n", path.c_str());
-  return true;
-}
-
-/// --knee-report (+ optional --knee-csv-prefix): folds the load axis into
-/// per-configuration p99 knee curves and writes the byte-stable outputs.
-bool write_knee_outputs(const std::vector<rmsim::ServiceRow>& rows,
-                        const rmsim::ServiceGridShape& shape,
-                        std::uint64_t fingerprint, const std::string& json_path,
-                        double knee_threshold,
-                        const std::string& csv_prefix) {
-  const rmsim::ServiceKneeReport knee = rmsim::build_service_knee_report(
-      rows, shape, fingerprint, knee_threshold);
-  std::string error;
-  if (!rmsim::write_service_knee_report_json(knee, json_path, &error)) {
-    std::fprintf(stderr, "--knee-report: %s\n", error.c_str());
-    return false;
-  }
-  std::size_t detected = 0;
-  for (const rmsim::KneeCurve& curve : knee.curves) {
-    if (curve.knee_index >= 0) ++detected;
-  }
-  std::printf("wrote knee report to %s (%zu of %zu curves cross p99 > %g)\n",
-              json_path.c_str(), detected, knee.curves.size(), knee_threshold);
-  if (!csv_prefix.empty()) {
-    if (!rmsim::write_knee_curve_csvs(knee, csv_prefix, &error)) {
-      std::fprintf(stderr, "--knee-csv-prefix: %s\n", error.c_str());
+  if (!setup.report_json.empty()) {
+    if (!rmsim::write_service_report_json(rows, shape, fingerprint,
+                                          setup.report_json, &error)) {
+      std::fprintf(stderr, "--report-json: %s\n", error.c_str());
       return false;
     }
-    std::printf("wrote %zu per-pattern knee-curve CSVs to %s<pattern>.csv\n",
-                shape.patterns, csv_prefix.c_str());
+    std::printf("wrote service report to %s\n", setup.report_json.c_str());
   }
+  if (!setup.knee_report.empty()) {
+    // Fold the load axis into per-configuration p99 knee curves.
+    const rmsim::ServiceKneeReport knee = rmsim::build_service_knee_report(
+        rows, shape, fingerprint, setup.knee_threshold);
+    if (!rmsim::write_service_knee_report_json(knee, setup.knee_report,
+                                               &error)) {
+      std::fprintf(stderr, "--knee-report: %s\n", error.c_str());
+      return false;
+    }
+    std::size_t detected = 0;
+    for (const rmsim::KneeCurve& curve : knee.curves) {
+      if (curve.knee_index >= 0) ++detected;
+    }
+    std::printf("wrote knee report to %s (%zu of %zu curves cross p99 > %g)\n",
+                setup.knee_report.c_str(), detected, knee.curves.size(),
+                setup.knee_threshold);
+    if (!setup.knee_csv_prefix.empty()) {
+      if (!rmsim::write_knee_curve_csvs(knee, setup.knee_csv_prefix, &error)) {
+        std::fprintf(stderr, "--knee-csv-prefix: %s\n", error.c_str());
+        return false;
+      }
+      std::printf("wrote %zu per-pattern knee-curve CSVs to %s<pattern>.csv\n",
+                  shape.patterns, setup.knee_csv_prefix.c_str());
+    }
+  }
+  print_rows(rows);
   return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const qosrm::CliArgs args(argc, argv, {"help", "resume", "keep-parts"});
-  if (args.has("help")) {
-    print_usage();
-    return 0;
+std::optional<rmsim::job::Job<rmsim::ServiceCodec>> make_job(
+    const qosrm::CliArgs& args, ServiceSetup& setup) {
+  int demand_min = 40;
+  int demand_max = 160;
+  if (!rmsim::job::get_int_flag(args, "cores", &setup.cores) ||
+      !rmsim::job::get_int_flag(args, "bw-shares", &setup.bw_shares) ||
+      !rmsim::job::get_int_flag(args, "threads", &setup.threads) ||
+      !rmsim::job::get_int_flag(args, "demand-min", &demand_min) ||
+      !rmsim::job::get_int_flag(args, "demand-max", &demand_max)) {
+    return std::nullopt;
   }
-
-  // Reject unknown flags: a typo'd flag name would otherwise silently run
-  // a default service sweep labeled as if the request had been honored.
-  static const std::set<std::string> kKnownFlags(
-      std::begin(rmsim::cli::kServiceMainFlags),
-      std::end(rmsim::cli::kServiceMainFlags));
-  for (const std::string& flag : args.flag_names()) {
-    if (!kKnownFlags.count(flag)) {
-      std::fprintf(stderr, "unknown flag --%s (see --help)\n", flag.c_str());
-      return 1;
-    }
-  }
-  if (!args.positional().empty()) {
-    std::fprintf(stderr,
-                 "unexpected argument '%s' (flags take --name=value or "
-                 "--name value form; see --help)\n",
-                 args.positional().front().c_str());
-    return 1;
-  }
-
-  // Mode flags first: every invalid --shard/--workers combination must fail
-  // here, before the multi-second database build (same fail-before-
-  // expensive-work rule as the grid and output-path checks below).
-  const bool worker_mode = args.has("shard") || args.has("part-output");
-  const bool orchestrate = args.has("workers");
-  if (args.has("shard") != args.has("part-output")) {
-    std::fprintf(stderr,
-                 "--shard and --part-output must be given together (a shard "
-                 "worker writes a part file, not CSV)\n");
-    return 1;
-  }
-  if (worker_mode && orchestrate) {
-    std::fprintf(stderr,
-                 "--shard and --workers are mutually exclusive (a worker "
-                 "runs one shard; the orchestrator forks the workers)\n");
-    return 1;
-  }
-  if (worker_mode &&
-      (args.has("rows-csv") || args.has("report-json") ||
-       args.has("knee-report") || args.has("knee-threshold") ||
-       args.has("knee-csv-prefix"))) {
-    std::fprintf(stderr,
-                 "--rows-csv/--report-json/--knee-report/--knee-threshold/"
-                 "--knee-csv-prefix do not apply in --shard worker mode (the "
-                 "merge step writes the outputs)\n");
-    return 1;
-  }
-  if (!orchestrate &&
-      (args.has("resume") || args.has("parts-dir") || args.has("keep-parts"))) {
-    std::fprintf(stderr,
-                 "--resume/--parts-dir/--keep-parts require --workers\n");
-    return 1;
-  }
-  qosrm::ShardArg shard;
-  if (worker_mode) {
-    const std::optional<qosrm::ShardArg> parsed =
-        qosrm::parse_shard_arg(args.get("shard", ""));
-    if (!parsed.has_value()) {
-      std::fprintf(stderr,
-                   "bad --shard value '%s' (want I/N with 0 <= I < N)\n",
-                   args.get("shard", "").c_str());
-      return 1;
-    }
-    shard = *parsed;
-  }
-  const int workers = static_cast<int>(args.get_int("workers", 0));
-  if (orchestrate && workers < 1) {
-    std::fprintf(stderr, "--workers must be >= 1\n");
-    return 1;
-  }
-
-  ServiceSetup setup;
-  setup.cores = static_cast<int>(args.get_int("cores", 16));
-  setup.bw_shares = static_cast<int>(args.get_int("bw-shares", 1));
-  setup.threads = static_cast<int>(args.get_int("threads", 0));
   if (setup.bw_shares < 1) {
     std::fprintf(stderr, "--bw-shares must be >= 1\n");
-    return 1;
+    return std::nullopt;
   }
   const long long num_arrivals = args.get_int("num-arrivals", 5000);
-  const int demand_min = static_cast<int>(args.get_int("demand-min", 40));
-  const int demand_max = static_cast<int>(args.get_int("demand-max", 160));
   const long long queue_cap = args.get_int("queue-cap", 4096);
   if (setup.cores < 1 || setup.threads < 0 || num_arrivals < 1) {
     std::fprintf(stderr,
                  "--cores/--num-arrivals must be >= 1 and --threads >= 0\n");
-    return 1;
+    return std::nullopt;
   }
   if (demand_min < 1 || demand_max < demand_min) {
     std::fprintf(stderr,
                  "--demand-min must be >= 1 and --demand-max >= "
                  "--demand-min\n");
-    return 1;
+    return std::nullopt;
   }
   if (queue_cap < 1) {
     std::fprintf(stderr, "--queue-cap must be >= 1\n");
-    return 1;
+    return std::nullopt;
   }
-  setup.config.arrivals = static_cast<std::size_t>(num_arrivals);
-  setup.config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
-  setup.config.demand_min = demand_min;
-  setup.config.demand_max = demand_max;
-  setup.config.queue_capacity = static_cast<std::size_t>(queue_cap);
+  rmsim::ServiceConfig& config = setup.config;
+  config.arrivals = static_cast<std::size_t>(num_arrivals);
+  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 2020));
+  config.demand_min = demand_min;
+  config.demand_max = demand_max;
+  config.queue_capacity = static_cast<std::size_t>(queue_cap);
 
   // Parse the grid flags up front: a bad value should fail immediately, not
   // after the multi-second database characterization. The list parsers
@@ -337,440 +200,108 @@ int main(int argc, char** argv) {
   if (args.has("load") && args.has("loads")) {
     std::fprintf(stderr,
                  "--load and --loads are aliases; give only one of them\n");
-    return 1;
+    return std::nullopt;
   }
-  setup.arrivals_spec = args.get("arrivals", "poisson");
-  setup.load_spec = args.get("load", args.get("loads", "0.8"));
-  setup.admissions_spec = args.get("admission", "fifo");
-  setup.policies_spec = args.get("policies", "idle,rm1,rm2,rm3");
-  setup.model_spec = args.get("model", "model3");
-  setup.alphas_spec = args.get("alphas", "0");
-  setup.grid.patterns = workload::parse_arrival_patterns(setup.arrivals_spec);
-  setup.grid.loads = rmsim::parse_loads(setup.load_spec);
-  setup.grid.admissions = rmsim::parse_admissions(setup.admissions_spec);
-  setup.grid.policies = rmsim::parse_policies(setup.policies_spec);
-  setup.grid.qos_alphas = rmsim::parse_alphas(setup.alphas_spec);
+  const std::string arrivals = args.get("arrivals", "poisson");
+  const std::string loads = args.get("load", args.get("loads", "0.8"));
+  const std::string admissions = args.get("admission", "fifo");
+  const std::string policies = args.get("policies", "idle,rm1,rm2,rm3");
+  const std::string model = args.get("model", "model3");
+  const std::string alphas = args.get("alphas", "0");
+  setup.grid.patterns = workload::parse_arrival_patterns(arrivals);
+  setup.grid.loads = rmsim::parse_loads(loads);
+  setup.grid.admissions = rmsim::parse_admissions(admissions);
+  setup.grid.policies = rmsim::parse_policies(policies);
+  setup.grid.qos_alphas = rmsim::parse_alphas(alphas);
   const std::vector<qosrm::rm::PerfModelKind> models =
-      rmsim::parse_models(setup.model_spec);
+      rmsim::parse_models(model);
   if (models.size() != 1) {
     std::fprintf(stderr,
                  "--model must name exactly one performance model (the "
                  "service grid sweeps patterns/loads/policies/alphas)\n");
-    return 1;
+    return std::nullopt;
   }
-  setup.config.model = models.front();
+  config.model = models.front();
 
-  // Probe the output paths too: a bad path should fail here, before the
-  // multi-second database build, not after the run. Each probe touches
-  // only the uniquely named temp sibling the later atomic commit will use,
-  // NEVER the target itself - an interrupted or failed run must not leave
-  // an empty decoy CSV/report, and an existing file stays untouched until
-  // its atomic replacement.
-  const std::string rows_csv = args.get("rows-csv", "service_rows.csv");
-  const std::string report_json = args.get("report-json", "");
-  const std::string knee_report = args.get("knee-report", "");
-  const std::string knee_csv_prefix = args.get("knee-csv-prefix", "");
-  const double knee_threshold =
+  setup.rows_csv = args.get("rows-csv", "service_rows.csv");
+  setup.report_json = args.get("report-json", "");
+  setup.knee_report = args.get("knee-report", "");
+  setup.knee_csv_prefix = args.get("knee-csv-prefix", "");
+  setup.knee_threshold =
       args.get_double("knee-threshold", rmsim::kDefaultKneeThreshold);
-  if (knee_report.empty() &&
-      (args.has("knee-threshold") || !knee_csv_prefix.empty())) {
+  if (setup.knee_report.empty() &&
+      (args.has("knee-threshold") || !setup.knee_csv_prefix.empty())) {
     std::fprintf(stderr,
                  "--knee-threshold/--knee-csv-prefix require --knee-report\n");
-    return 1;
+    return std::nullopt;
   }
-  if (!(knee_threshold > 0.0)) {
+  if (!(setup.knee_threshold > 0.0)) {
     std::fprintf(stderr, "--knee-threshold must be > 0\n");
-    return 1;
-  }
-  const std::string part_output = args.get("part-output", "");
-  // Orchestrator part files live next to the rows CSV unless --parts-dir
-  // says otherwise; the prefix keeps the sharding self-describing
-  // ("<prefix>.<i>-of-<n>.qospart").
-  std::string parts_prefix;
-  if (orchestrate) {
-    const std::string parts_dir = args.get("parts-dir", "");
-    if (parts_dir.empty()) {
-      parts_prefix = rows_csv;
-    } else {
-      parts_prefix =
-          (std::filesystem::path(parts_dir) /
-           std::filesystem::path(rows_csv).filename())
-              .string();
-    }
+    return std::nullopt;
   }
 
-  std::vector<std::string> probe_paths;
-  if (worker_mode) {
-    probe_paths.push_back(part_output);
-  } else {
-    probe_paths.push_back(rows_csv);
-    if (!report_json.empty()) probe_paths.push_back(report_json);
-    if (!knee_report.empty()) probe_paths.push_back(knee_report);
-    if (!knee_csv_prefix.empty()) {
-      for (const workload::ArrivalPattern pattern : setup.grid.patterns) {
-        probe_paths.push_back(knee_csv_prefix +
-                              workload::arrival_pattern_name(pattern) + ".csv");
-      }
-    }
-    if (orchestrate) {
-      for (int i = 0; i < workers; ++i) {
-        probe_paths.push_back(rmsim::part_path(
-            parts_prefix, static_cast<std::size_t>(i),
-            static_cast<std::size_t>(workers)));
-      }
-    }
-  }
-  for (const std::string& path : probe_paths) {
-    std::string probe_error;
-    if (!qosrm::probe_writable_atomic(path, &probe_error)) {
-      std::fprintf(stderr, "%s\n", probe_error.c_str());
-      return 1;
+  rmsim::job::Job<rmsim::ServiceCodec> job;
+  job.cores = setup.cores;
+  job.bw_shares = setup.bw_shares;
+  job.threads = setup.threads;
+  job.fingerprint = rmsim::service_fingerprint(
+      setup.grid, config, rmsim::job::db_fingerprint(job.cores, job.bw_shares));
+  job.shape = setup.grid.shape();
+  job.axes = qosrm::format(
+      "%zu patterns x %zu loads x %zu admissions x %zu policies x %zu alphas",
+      job.shape.patterns, job.shape.loads, job.shape.admissions,
+      job.shape.policies, job.shape.alphas);
+  job.rows_csv = setup.rows_csv;
+  job.outputs = {setup.rows_csv};
+  if (!setup.report_json.empty()) job.outputs.push_back(setup.report_json);
+  if (!setup.knee_report.empty()) job.outputs.push_back(setup.knee_report);
+  if (!setup.knee_csv_prefix.empty()) {
+    for (const workload::ArrivalPattern pattern : setup.grid.patterns) {
+      job.outputs.push_back(setup.knee_csv_prefix +
+                            workload::arrival_pattern_name(pattern) + ".csv");
     }
   }
+  job.grid_flags = {
+      qosrm::format("--cores=%d", setup.cores),
+      qosrm::format("--bw-shares=%d", setup.bw_shares),
+      qosrm::format("--num-arrivals=%zu", config.arrivals),
+      qosrm::format("--seed=%llu",
+                    static_cast<unsigned long long>(config.seed)),
+      "--arrivals=" + arrivals,
+      "--load=" + loads,
+      "--admission=" + admissions,
+      "--policies=" + policies,
+      "--model=" + model,
+      "--alphas=" + alphas,
+      qosrm::format("--demand-min=%d", config.demand_min),
+      qosrm::format("--demand-max=%d", config.demand_max),
+      qosrm::format("--queue-cap=%zu", config.queue_capacity),
+  };
+  job.run_range = [&setup](const workload::SimDb& db, std::size_t begin,
+                           std::size_t end) {
+    rmsim::ServiceOptions options;
+    options.threads = setup.threads;
+    return rmsim::run_service_range(db, setup.grid, setup.config, begin, end,
+                                    options);
+  };
+  job.write_outputs = [&setup](const std::vector<rmsim::ServiceRow>& rows,
+                               const rmsim::ServiceGridShape& shape,
+                               std::uint64_t fingerprint) {
+    return write_outputs(setup, rows, shape, fingerprint);
+  };
+  return job;
+}
 
-  // --db-cache: decide hit/miss now, and on a miss probe writability, so a
-  // bad path fails here instead of after the multi-second database build.
-  // The probe uses a uniquely named sibling file, never the cache path
-  // itself: concurrent shards must not see a transient decoy snapshot, nor
-  // have a just-written real one deleted from under them.
-  setup.db_cache = args.get("db-cache", "");
-  bool db_cache_hit = false;
-  if (!setup.db_cache.empty()) {
-    // A directory means the shared per-core-count layout the benches and
-    // QOSRM_DB_CACHE_DIR use; resolve it the same way.
-    std::error_code ec;
-    if (std::filesystem::is_directory(setup.db_cache, ec)) {
-      setup.db_cache = workload::db_cache_path(setup.db_cache, setup.cores,
-                                               setup.bw_shares);
-    }
-    std::ifstream rprobe(setup.db_cache, std::ios::binary);
-    db_cache_hit = rprobe.good();
-    if (!db_cache_hit) {
-      const std::string probe_path = setup.db_cache + ".probe." +
-                                     std::to_string(static_cast<long>(::getpid()));
-      std::ofstream wprobe(probe_path, std::ios::trunc);
-      if (!wprobe.good()) {
-        std::fprintf(stderr, "--db-cache: cannot write to %s\n",
-                     setup.db_cache.c_str());
-        return 1;
-      }
-      wprobe.close();
-      std::remove(probe_path.c_str());
-    }
-  }
+}  // namespace
 
-  const workload::SpecSuite& suite = workload::spec_suite();
-  qosrm::arch::SystemConfig system;
-  system.cores = setup.cores;
-  system.bw = qosrm::arch::bw_config_for_shares(setup.bw_shares);
-  const qosrm::power::PowerModel power;
-
-  workload::SimDbOptions db_options;
-  db_options.threads = setup.threads;
-
-  // ---------------------------------------------------------------------
-  // Orchestrator mode: fork shard workers, merge their parts, write CSVs.
-  // ---------------------------------------------------------------------
-  if (orchestrate) {
-    const auto n = static_cast<std::size_t>(workers);
-    const std::uint64_t fingerprint = setup_fingerprint(setup);
-    const rmsim::ServiceGridShape shape = setup.grid.shape();
-
-    // Which shards still need to run? Without --resume: all of them
-    // (workers atomically overwrite any stale part). Computed BEFORE any
-    // database work - it needs only the fingerprint and shape, and a
-    // resume where every part is already complete must go straight to the
-    // merge without paying a characterization or snapshot load.
-    std::vector<std::size_t> pending;
-    if (args.get_bool("resume", false)) {
-      pending =
-          rmsim::service_shards_to_run(parts_prefix, n, fingerprint, shape);
-      std::printf("resume: %zu of %zu shards already complete\n",
-                  n - pending.size(), n);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) pending.push_back(i);
-    }
-
-    // The database must be characterized once, here, not N times by the
-    // forked workers. With --db-cache a present-but-stale snapshot is a
-    // hard error, matching the single-process contract; without --db-cache
-    // the orchestrator builds a temporary snapshot next to the parts and
-    // hands it to the workers, then removes it after the run.
-    const auto t_db = Clock::now();
-    bool temp_db = false;
-    const auto cleanup_temp_db = [&]() {
-      if (temp_db) std::remove(setup.db_cache.c_str());
-    };
-    if (!pending.empty()) {
-      if (setup.db_cache.empty()) {
-        temp_db = true;
-        setup.db_cache = parts_prefix + ".shared.qosdb";
-        std::remove(setup.db_cache.c_str());  // never trust a stale leftover
-        db_cache_hit = false;
-      }
-      std::string error;
-      if (db_cache_hit) {
-        if (!workload::load_simdb(suite, system, power, db_options.phase,
-                                  setup.db_cache, &error)
-                 .has_value()) {
-          std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-          return 1;
-        }
-      } else {
-        std::printf("characterizing %d-app suite for %d cores (shared by all "
-                    "workers)...\n",
-                    suite.size(), setup.cores);
-        const workload::SimDb db(suite, system, power, db_options);
-        if (!workload::save_simdb(db, setup.db_cache, &error)) {
-          std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-          cleanup_temp_db();
-          return 1;
-        }
-        std::printf("saved simulation database snapshot to %s\n",
-                    setup.db_cache.c_str());
-      }
-    }
-
-    const unsigned total_threads =
-        setup.threads > 0 ? static_cast<unsigned>(setup.threads)
-                          : std::max(1u, std::thread::hardware_concurrency());
-    const unsigned worker_threads = std::max(1u, total_threads / std::max(
-        1u, static_cast<unsigned>(pending.size())));
-
-    std::printf("serving %zu runs across %d shard workers (%u threads "
-                "each)...\n",
-                setup.grid.size(), workers, worker_threads);
-
-    const std::string exe = self_exe_path(argv[0]);
-    const auto t_run = Clock::now();
-
-    struct Worker {
-      std::size_t shard = 0;
-      std::vector<std::string> argv;
-      qosrm::Subprocess process;
-    };
-    std::vector<Worker> spawned;
-    spawned.reserve(pending.size());
-    for (const std::size_t i : pending) {
-      Worker worker;
-      worker.shard = i;
-      worker.argv = {
-          exe,
-          qosrm::format("--cores=%d", setup.cores),
-          qosrm::format("--bw-shares=%d", setup.bw_shares),
-          qosrm::format("--num-arrivals=%zu", setup.config.arrivals),
-          qosrm::format("--seed=%llu",
-                        static_cast<unsigned long long>(setup.config.seed)),
-          "--arrivals=" + setup.arrivals_spec,
-          "--load=" + setup.load_spec,
-          "--admission=" + setup.admissions_spec,
-          "--policies=" + setup.policies_spec,
-          "--model=" + setup.model_spec,
-          "--alphas=" + setup.alphas_spec,
-          qosrm::format("--demand-min=%d", setup.config.demand_min),
-          qosrm::format("--demand-max=%d", setup.config.demand_max),
-          qosrm::format("--queue-cap=%zu", setup.config.queue_capacity),
-          qosrm::format("--threads=%u", worker_threads),
-          qosrm::format("--shard=%zu/%zu", i, n),
-          "--part-output=" + rmsim::part_path(parts_prefix, i, n),
-      };
-      if (!setup.db_cache.empty()) {
-        worker.argv.push_back("--db-cache=" + setup.db_cache);
-      }
-      worker.process = qosrm::Subprocess::spawn(worker.argv);
-      spawned.push_back(std::move(worker));
-    }
-
-    // Fail fast: workers are reaped in COMPLETION order (wait_any), so the
-    // first failure - whichever shard it strikes - immediately terminates
-    // the rest instead of hiding behind long-running earlier shards. The
-    // diagnostic names the shard, its fate and its exact command line so
-    // the operator can re-run just that shard by hand. Shards we cancelled
-    // ourselves get one short line, not a failure diagnostic of their own -
-    // the actionable failure must stay visible.
-    bool failed = false;
-    const auto handle_exit = [&](const Worker& worker,
-                                 const qosrm::SubprocessExit& exit) {
-      if (exit.success()) return;
-      if (failed && exit.term_signal == SIGTERM) {
-        std::fprintf(stderr, "shard %zu/%zu cancelled\n", worker.shard, n);
-        return;
-      }
-      if (!failed) {
-        failed = true;
-        for (Worker& other : spawned) other.process.terminate();
-      }
-      std::string cmd;
-      for (const std::string& arg : worker.argv) {
-        if (!cmd.empty()) cmd += ' ';
-        cmd += arg;
-      }
-      std::fprintf(stderr, "shard %zu/%zu failed (%s): %s\n", worker.shard, n,
-                   describe(exit).c_str(), cmd.c_str());
-    };
-
-    std::vector<qosrm::Subprocess*> processes;
-    processes.reserve(spawned.size());
-    for (Worker& worker : spawned) {
-      processes.push_back(&worker.process);
-      // A fork that failed outright never enters wait_any.
-      if (!worker.process.running()) handle_exit(worker, worker.process.wait());
-    }
-    for (;;) {
-      const std::optional<std::size_t> done =
-          qosrm::Subprocess::wait_any(processes);
-      if (!done.has_value()) break;
-      handle_exit(spawned[*done], spawned[*done].process.wait());
-    }
-    if (failed) {
-      std::fprintf(stderr,
-                   "service run aborted; completed parts are kept - re-run "
-                   "with --resume to redo only the failed shards\n");
-      cleanup_temp_db();
-      return 1;
-    }
-
-    // Merge. Every part must match the fingerprint this orchestrator
-    // computed - a worker that somehow ran a different grid is caught here.
-    std::vector<std::string> part_files;
-    part_files.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      part_files.push_back(rmsim::part_path(parts_prefix, i, n));
-    }
-    std::string error;
-    std::optional<std::vector<rmsim::ServiceRow>> merged =
-        rmsim::merge_service_part_files(part_files, &fingerprint, &error);
-    if (!merged.has_value()) {
-      std::fprintf(stderr, "merge: %s\n", error.c_str());
-      cleanup_temp_db();
-      return 1;
-    }
-    const auto t_done = Clock::now();
-    const std::vector<rmsim::ServiceRow>& rows = *merged;
-    cleanup_temp_db();
-
-    rmsim::write_service_csv(rows, rows_csv);
-    std::printf("wrote %zu rows to %s\n", rows.size(), rows_csv.c_str());
-    if (!report_json.empty() &&
-        !write_report(rows, shape, fingerprint, report_json)) {
-      return 1;
-    }
-    if (!knee_report.empty() &&
-        !write_knee_outputs(rows, shape, fingerprint, knee_report,
-                            knee_threshold, knee_csv_prefix)) {
-      return 1;
-    }
-    if (!args.get_bool("keep-parts", false)) {
-      for (std::size_t i = 0; i < n; ++i) {
-        std::remove(rmsim::part_path(parts_prefix, i, n).c_str());
-      }
-    }
-
-    print_rows(rows);
-    std::printf("\ndb prep %.2fs, service+merge %.2fs (%d workers)\n",
-                secs(t_db, t_run), secs(t_run, t_done), workers);
-    return 0;
-  }
-
-  // ---------------------------------------------------------------------
-  // Single-process grid execution: the whole grid (default mode) or one
-  // shard's row range (--shard worker mode).
-  // ---------------------------------------------------------------------
-  const auto t_db = Clock::now();
-  std::optional<workload::SimDb> db_storage;
-  if (db_cache_hit) {
-    std::printf("loading simulation database from %s...\n",
-                setup.db_cache.c_str());
-    std::string error;
-    db_storage = workload::load_simdb(suite, system, power, db_options.phase,
-                                      setup.db_cache, &error);
-    if (!db_storage.has_value()) {
-      std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-      return 1;
-    }
-  } else {
-    std::printf("characterizing %d-app suite for %d cores...\n", suite.size(),
-                setup.cores);
-    db_storage.emplace(suite, system, power, db_options);
-    if (!setup.db_cache.empty()) {
-      std::string error;
-      if (!workload::save_simdb(*db_storage, setup.db_cache, &error)) {
-        std::fprintf(stderr, "--db-cache: %s\n", error.c_str());
-        return 1;
-      }
-      std::printf("saved simulation database snapshot to %s\n",
-                  setup.db_cache.c_str());
-    }
-  }
-  const workload::SimDb& db = *db_storage;
-
-  rmsim::ServiceOptions options;
-  options.threads = setup.threads;
-  const unsigned resolved_threads =
-      setup.threads > 0 ? static_cast<unsigned>(setup.threads)
-                        : std::max(1u, std::thread::hardware_concurrency());
-
-  if (worker_mode) {
-    const std::uint64_t db_fp = workload::simdb_fingerprint(
-        db.suite(), db.system(), db.phase_options());
-    rmsim::ServicePart part;
-    part.fingerprint =
-        rmsim::service_fingerprint(setup.grid, setup.config, db_fp);
-    part.shape = setup.grid.shape();
-    part.shard_index = shard.index;
-    part.shard_count = shard.count;
-    part.range =
-        rmsim::shard_range(setup.grid.size(), shard.index, shard.count);
-
-    std::printf("shard %zu/%zu: serving rows [%zu, %zu) of %zu on %u "
-                "threads...\n",
-                shard.index, shard.count, part.range.begin, part.range.end,
-                setup.grid.size(), resolved_threads);
-    const auto t_run = Clock::now();
-    part.rows = rmsim::run_service_range(db, setup.grid, setup.config,
-                                         part.range.begin, part.range.end,
-                                         options);
-    const auto t_done = Clock::now();
-
-    std::string error;
-    if (!rmsim::save_service_part(part, part_output, &error)) {
-      std::fprintf(stderr, "--part-output: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("wrote %zu rows to %s\n", part.rows.size(),
-                part_output.c_str());
-    std::printf("db %s %.2fs, service %.2fs\n", db_cache_hit ? "load" : "build",
-                secs(t_db, t_run), secs(t_run, t_done));
-    return 0;
-  }
-
-  std::printf("serving %zu runs (%zu patterns x %zu loads x %zu admissions x "
-              "%zu policies x %zu alphas) on %u threads...\n",
-              setup.grid.size(), setup.grid.patterns.size(),
-              setup.grid.loads.size(), setup.grid.admissions.size(),
-              setup.grid.policies.size(), setup.grid.qos_alphas.size(),
-              resolved_threads);
-  const auto t_run = Clock::now();
-  const rmsim::ServiceResult result =
-      rmsim::run_service(db, setup.grid, setup.config, options);
-  const auto t_done = Clock::now();
-
-  rmsim::write_service_csv(result.rows, rows_csv);
-  std::printf("wrote %zu rows to %s\n", result.rows.size(), rows_csv.c_str());
-  if (!report_json.empty() &&
-      !write_report(result.rows, setup.grid.shape(), setup_fingerprint(setup),
-                    report_json)) {
-    return 1;
-  }
-  if (!knee_report.empty() &&
-      !write_knee_outputs(result.rows, setup.grid.shape(),
-                          setup_fingerprint(setup), knee_report,
-                          knee_threshold, knee_csv_prefix)) {
-    return 1;
-  }
-
-  print_rows(result.rows);
-  std::printf("\ndb %s %.2fs, service %.2fs\n", db_cache_hit ? "load" : "build",
-              secs(t_db, t_run), secs(t_run, t_done));
-  return 0;
+int main(int argc, char** argv) {
+  static constexpr const char* kWorkerRejected[] = {
+      "rows-csv", "report-json", "knee-report", "knee-threshold",
+      "knee-csv-prefix"};
+  const rmsim::job::Cli cli{kUsage, rmsim::cli::kServiceMainFlags,
+                            kWorkerRejected, "service", "serving"};
+  ServiceSetup setup;
+  return rmsim::job::run<rmsim::ServiceCodec>(
+      argc, argv, cli,
+      [&setup](const qosrm::CliArgs& args) { return make_job(args, setup); });
 }

@@ -17,15 +17,35 @@ namespace qosrm::rmsim {
 
 namespace {
 
-// "QOSRMPT\0" little-endian.
-constexpr std::uint64_t kMagic = 0x0054504D52534F51ULL;
-// "QOSRMSV\0" little-endian - the service-part magic, distinct from the
-// sweep magic so the two part kinds can never be cross-merged.
-constexpr std::uint64_t kServiceMagic = 0x0056534D52534F51ULL;
-
 bool fail(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
   return false;
+}
+
+/// Reads a u32 enum value; anything outside [first, last] fails the read.
+/// The checksum catches random corruption, but a hand-made file must not
+/// produce undefined enum values.
+template <typename Enum>
+[[nodiscard]] Enum read_enum(BinaryReader& r, Enum first, Enum last) {
+  const std::uint32_t v = r.read_u32();
+  if (v < static_cast<std::uint32_t>(first) ||
+      v > static_cast<std::uint32_t>(last)) {
+    r.fail();
+  }
+  return static_cast<Enum>(v);
+}
+
+[[nodiscard]] workload::Scenario read_scenario(BinaryReader& r) {
+  return read_enum(r, workload::kAllScenarios.front(),
+                   workload::kAllScenarios.back());
+}
+
+[[nodiscard]] rm::RmPolicy read_policy(BinaryReader& r) {
+  return read_enum(r, rm::RmPolicy::Idle, rm::RmPolicy::ClassPart);
+}
+
+[[nodiscard]] rm::PerfModelKind read_model(BinaryReader& r) {
+  return read_enum(r, rm::PerfModelKind::Perfect, rm::PerfModelKind::Model3);
 }
 
 void write_core(BinaryWriter& w, const CoreResult& core) {
@@ -52,7 +72,9 @@ void write_core(BinaryWriter& w, const CoreResult& core) {
   return core;
 }
 
-void write_row(BinaryWriter& w, const SweepRow& row) {
+}  // namespace
+
+void SweepCodec::write_row(BinaryWriter& w, const SweepRow& row) {
   w.write_string(row.workload);
   w.write_u32(static_cast<std::uint32_t>(row.scenario));
   w.write_u32(static_cast<std::uint32_t>(row.policy));
@@ -73,39 +95,20 @@ void write_row(BinaryWriter& w, const SweepRow& row) {
   w.write_u64(run.rm_ops);
 }
 
-[[nodiscard]] SweepRow read_row(BinaryReader& r) {
-  // Enum fields are range-checked before the cast; anything out of range
-  // fails the read (the checksum catches random corruption, but a hand-made
-  // file must not produce undefined enum values).
-  const auto read_scenario = [&r]() {
-    const std::uint32_t v = r.read_u32();
-    if (v < 1 || v > 4) r.fail();
-    return static_cast<workload::Scenario>(v);
-  };
-  const auto read_policy = [&r]() {
-    const std::uint32_t v = r.read_u32();
-    if (v > static_cast<std::uint32_t>(rm::RmPolicy::ClassPart)) r.fail();
-    return static_cast<rm::RmPolicy>(v);
-  };
-  const auto read_model = [&r]() {
-    const std::uint32_t v = r.read_u32();
-    if (v > 3) r.fail();
-    return static_cast<rm::PerfModelKind>(v);
-  };
-
+SweepRow SweepCodec::read_row(BinaryReader& r) {
   SweepRow row;
   row.workload = r.read_string();
-  row.scenario = read_scenario();
-  row.policy = read_policy();
-  row.model = read_model();
+  row.scenario = read_scenario(r);
+  row.policy = read_policy(r);
+  row.model = read_model(r);
   row.qos_alpha = r.read_f64();
   row.result.savings = r.read_f64();
 
   RunResult& run = row.result.run;
   run.workload = r.read_string();
-  run.scenario = read_scenario();
-  run.policy = read_policy();
-  run.model = read_model();
+  run.scenario = read_scenario(r);
+  run.policy = read_policy(r);
+  run.model = read_model(r);
   const std::uint64_t n_cores = r.read_u64();
   if (!r.ok() || n_cores > 1024) {  // corrupt count must not allocate wild
     r.fail();
@@ -120,7 +123,7 @@ void write_row(BinaryWriter& w, const SweepRow& row) {
   return row;
 }
 
-void write_service_row(BinaryWriter& w, const ServiceRow& row) {
+void ServiceCodec::write_row(BinaryWriter& w, const ServiceRow& row) {
   w.write_u32(static_cast<std::uint32_t>(row.pattern));
   w.write_f64(row.load);
   w.write_u32(static_cast<std::uint32_t>(row.admission));
@@ -152,22 +155,17 @@ void write_service_row(BinaryWriter& w, const ServiceRow& row) {
   w.write_f64(m.wall_time_s);
 }
 
-[[nodiscard]] ServiceRow read_service_row(BinaryReader& r) {
-  // Enum fields are range-checked before the cast, like read_row above.
+ServiceRow ServiceCodec::read_row(BinaryReader& r) {
   ServiceRow row;
-  const std::uint32_t pattern = r.read_u32();
-  if (pattern > 2) r.fail();
-  row.pattern = static_cast<workload::ArrivalPattern>(pattern);
+  row.pattern = read_enum(
+      r, workload::ArrivalPattern{0},
+      static_cast<workload::ArrivalPattern>(workload::kNumArrivalPatterns - 1));
   row.load = r.read_f64();
-  const std::uint32_t admission = r.read_u32();
-  if (admission >= static_cast<std::uint32_t>(kNumAdmissionPolicies)) r.fail();
-  row.admission = static_cast<AdmissionPolicy>(admission);
-  const std::uint32_t policy = r.read_u32();
-  if (policy > static_cast<std::uint32_t>(rm::RmPolicy::ClassPart)) r.fail();
-  row.policy = static_cast<rm::RmPolicy>(policy);
-  const std::uint32_t model = r.read_u32();
-  if (model > 3) r.fail();
-  row.model = static_cast<rm::PerfModelKind>(model);
+  row.admission =
+      read_enum(r, AdmissionPolicy{0},
+                static_cast<AdmissionPolicy>(kNumAdmissionPolicies - 1));
+  row.policy = read_policy(r);
+  row.model = read_model(r);
   row.qos_alpha = r.read_f64();
 
   ServiceMetrics& m = row.metrics;
@@ -194,8 +192,6 @@ void write_service_row(BinaryWriter& w, const ServiceRow& row) {
   m.wall_time_s = r.read_f64();
   return row;
 }
-
-}  // namespace
 
 ShardRange shard_range(std::size_t total_rows, std::size_t index,
                        std::size_t count) {
@@ -259,15 +255,16 @@ std::string part_path(const std::string& prefix, std::size_t index,
                 kSweepPartExtension);
 }
 
-bool save_sweep_part(const SweepPart& part, const std::string& path,
-                     std::string* error) {
+template <typename Codec>
+bool save_part(const Part<Codec>& part, const std::string& path,
+               std::string* error) {
   if (part.shard_count < 1 || part.shard_index >= part.shard_count ||
       part.range.begin > part.range.end ||
       part.range.end > part.shape.size() ||
       part.range != shard_range(part.shape.size(), part.shard_index,
                                 part.shard_count) ||
       part.rows.size() != part.range.size()) {
-    return fail(error, "inconsistent sweep part metadata");
+    return fail(error, format("inconsistent %s part metadata", Codec::kNoun));
   }
 
   // Write to a uniquely named sibling and rename into place: a killed
@@ -280,19 +277,16 @@ bool save_sweep_part(const SweepPart& part, const std::string& path,
   }
 
   BinaryWriter w(out);
-  w.write_u64(kMagic);
-  w.write_u32(kSweepPartVersion);
+  w.write_u64(Codec::kMagic);
+  w.write_u32(Codec::kVersion);
   w.write_u32(kByteOrderMark);
   w.write_u64(part.fingerprint);
-  w.write_u64(part.shape.mixes);
-  w.write_u64(part.shape.policies);
-  w.write_u64(part.shape.models);
-  w.write_u64(part.shape.alphas);
+  for (const auto axis : Codec::kAxes) w.write_u64(part.shape.*axis);
   w.write_u64(part.shard_index);
   w.write_u64(part.shard_count);
   w.write_u64(part.range.begin);
   w.write_u64(part.range.end);
-  for (const SweepRow& row : part.rows) write_row(w, row);
+  for (const auto& row : part.rows) Codec::write_row(w, row);
   w.write_trailing_checksum();
   out.flush();
   if (!out.good()) {
@@ -308,8 +302,9 @@ bool save_sweep_part(const SweepPart& part, const std::string& path,
   return true;
 }
 
-std::optional<SweepPart> load_sweep_part(const std::string& path,
-                                         std::string* error) {
+template <typename Codec>
+std::optional<Part<Codec>> load_part(const std::string& path,
+                                     std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) {
     fail(error, format("cannot open %s for reading", path.c_str()));
@@ -318,14 +313,15 @@ std::optional<SweepPart> load_sweep_part(const std::string& path,
 
   BinaryReader r(in);
   const std::uint64_t magic = r.read_u64();
-  if (!r.ok() || magic != kMagic) {
-    fail(error, format("%s is not a sweep part (bad magic)", path.c_str()));
+  if (!r.ok() || magic != Codec::kMagic) {
+    fail(error, format("%s is not a %s part (bad magic)", path.c_str(),
+                       Codec::kNoun));
     return std::nullopt;
   }
   const std::uint32_t version = r.read_u32();
-  if (!r.ok() || version != kSweepPartVersion) {
+  if (!r.ok() || version != Codec::kVersion) {
     fail(error, format("%s has part version %u, expected %u", path.c_str(),
-                       version, kSweepPartVersion));
+                       version, Codec::kVersion));
     return std::nullopt;
   }
   const std::uint32_t bom = r.read_u32();
@@ -336,12 +332,11 @@ std::optional<SweepPart> load_sweep_part(const std::string& path,
     return std::nullopt;
   }
 
-  SweepPart part;
+  Part<Codec> part;
   part.fingerprint = r.read_u64();
-  part.shape.mixes = static_cast<std::size_t>(r.read_u64());
-  part.shape.policies = static_cast<std::size_t>(r.read_u64());
-  part.shape.models = static_cast<std::size_t>(r.read_u64());
-  part.shape.alphas = static_cast<std::size_t>(r.read_u64());
+  for (const auto axis : Codec::kAxes) {
+    part.shape.*axis = static_cast<std::size_t>(r.read_u64());
+  }
   part.shard_index = static_cast<std::size_t>(r.read_u64());
   part.shard_count = static_cast<std::size_t>(r.read_u64());
   part.range.begin = static_cast<std::size_t>(r.read_u64());
@@ -353,16 +348,15 @@ std::optional<SweepPart> load_sweep_part(const std::string& path,
   // std::size_t and slip past a naive shape.size() check).
   constexpr std::size_t kMaxAxis = std::size_t{1} << 20;
   constexpr unsigned __int128 kMaxRows = std::size_t{1} << 32;
-  const unsigned __int128 total_rows = static_cast<unsigned __int128>(
-                                           part.shape.mixes) *
-                                       part.shape.policies * part.shape.models *
-                                       part.shape.alphas;
-  if (!r.ok() || part.shape.mixes == 0 || part.shape.mixes > kMaxAxis ||
-      part.shape.policies == 0 || part.shape.policies > kMaxAxis ||
-      part.shape.models == 0 || part.shape.models > kMaxAxis ||
-      part.shape.alphas == 0 || part.shape.alphas > kMaxAxis ||
-      total_rows > kMaxRows ||
-      part.shard_count < 1 || part.shard_index >= part.shard_count ||
+  bool sane = r.ok();
+  unsigned __int128 total_rows = 1;
+  for (const auto axis : Codec::kAxes) {
+    const std::size_t extent = part.shape.*axis;
+    sane = sane && extent != 0 && extent <= kMaxAxis;
+    total_rows *= extent;
+  }
+  if (!sane || total_rows > kMaxRows || part.shard_count < 1 ||
+      part.shard_index >= part.shard_count ||
       part.range !=
           shard_range(part.shape.size(), part.shard_index, part.shard_count)) {
     fail(error, format("%s is corrupt (inconsistent part header)", path.c_str()));
@@ -374,7 +368,7 @@ std::optional<SweepPart> load_sweep_part(const std::string& path,
   // provoking a giant allocation.
   part.rows.reserve(std::min<std::size_t>(part.range.size(), 4096));
   for (std::size_t i = 0; i < part.range.size(); ++i) {
-    part.rows.push_back(read_row(r));
+    part.rows.push_back(Codec::read_row(r));
     if (!r.ok()) {
       fail(error, format("%s is corrupt (truncated row data)", path.c_str()));
       return std::nullopt;
@@ -393,20 +387,21 @@ std::optional<SweepPart> load_sweep_part(const std::string& path,
   return part;
 }
 
-std::optional<std::vector<SweepRow>> merge_sweep_parts(
-    std::vector<SweepPart> parts, std::string* error) {
+template <typename Codec>
+std::optional<std::vector<typename Codec::Row>> merge_parts(
+    std::vector<Part<Codec>> parts, std::string* error) {
   if (parts.empty()) {
-    fail(error, "no sweep parts to merge");
+    fail(error, format("no %s parts to merge", Codec::kNoun));
     return std::nullopt;
   }
 
-  const SweepPart& first = parts.front();
-  for (const SweepPart& part : parts) {
+  const Part<Codec>& first = parts.front();
+  for (const Part<Codec>& part : parts) {
     if (part.fingerprint != first.fingerprint) {
       fail(error,
-           format("shard %zu/%zu belongs to a different sweep (fingerprint "
+           format("shard %zu/%zu belongs to a different %s (fingerprint "
                   "%016llx, expected %016llx)",
-                  part.shard_index, part.shard_count,
+                  part.shard_index, part.shard_count, Codec::kRunNoun,
                   static_cast<unsigned long long>(part.fingerprint),
                   static_cast<unsigned long long>(first.fingerprint)));
       return std::nullopt;
@@ -424,13 +419,13 @@ std::optional<std::vector<SweepRow>> merge_sweep_parts(
   }
 
   std::sort(parts.begin(), parts.end(),
-            [](const SweepPart& a, const SweepPart& b) {
+            [](const Part<Codec>& a, const Part<Codec>& b) {
               return a.shard_index < b.shard_index;
             });
   const std::size_t total = first.shape.size();
   std::size_t next_row = 0;
   for (std::size_t i = 0; i < parts.size(); ++i) {
-    const SweepPart& part = parts[i];
+    const Part<Codec>& part = parts[i];
     if (part.shard_index != i) {
       fail(error, format("shard %zu is missing or duplicated", i));
       return std::nullopt;
@@ -448,284 +443,34 @@ std::optional<std::vector<SweepRow>> merge_sweep_parts(
     return std::nullopt;
   }
 
-  std::vector<SweepRow> rows;
+  std::vector<typename Codec::Row> rows;
   rows.reserve(total);
-  for (SweepPart& part : parts) {
-    for (SweepRow& row : part.rows) rows.push_back(std::move(row));
+  for (Part<Codec>& part : parts) {
+    for (auto& row : part.rows) rows.push_back(std::move(row));
   }
   return rows;
 }
 
-std::optional<SweepResult> merge_part_files(
+template <typename Codec>
+std::optional<std::vector<typename Codec::Row>> merge_part_files(
     const std::vector<std::string>& paths,
     const std::uint64_t* expected_fingerprint, std::string* error,
-    SweepIdentity* identity) {
-  std::vector<SweepPart> parts;
+    PartIdentity<Codec>* identity) {
+  std::vector<Part<Codec>> parts;
   parts.reserve(paths.size());
   for (const std::string& path : paths) {
-    std::optional<SweepPart> part = load_sweep_part(path, error);
+    std::optional<Part<Codec>> part = load_part<Codec>(path, error);
     if (!part.has_value()) return std::nullopt;
     if (expected_fingerprint != nullptr &&
         part->fingerprint != *expected_fingerprint) {
-      fail(error,
-           format("%s belongs to a different sweep than this command line",
-                  path.c_str()));
+      fail(error, format("%s belongs to a different %s than this command line",
+                         path.c_str(), Codec::kRunNoun));
       return std::nullopt;
     }
     parts.push_back(std::move(*part));
   }
   if (parts.empty()) {
-    fail(error, "no sweep parts to merge");
-    return std::nullopt;
-  }
-
-  const GridShape shape = parts.front().shape;
-  if (identity != nullptr) {
-    identity->fingerprint = parts.front().fingerprint;
-    identity->shape = shape;
-  }
-  std::optional<std::vector<SweepRow>> rows =
-      merge_sweep_parts(std::move(parts), error);
-  if (!rows.has_value()) return std::nullopt;
-
-  SweepResult result;
-  result.rows = std::move(*rows);
-  result.aggregates = compute_aggregates(
-      result.rows, shape, scenario_weights(workload::spec_suite()));
-  return result;
-}
-
-std::vector<std::size_t> shards_to_run(const std::string& prefix,
-                                       std::size_t count,
-                                       std::uint64_t fingerprint,
-                                       const GridShape& shape) {
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < count; ++i) {
-    std::string error;
-    const std::optional<SweepPart> part =
-        load_sweep_part(part_path(prefix, i, count), &error);
-    const bool complete = part.has_value() && part->fingerprint == fingerprint &&
-                          part->shape == shape && part->shard_index == i &&
-                          part->shard_count == count;
-    if (!complete) pending.push_back(i);
-  }
-  return pending;
-}
-
-bool save_service_part(const ServicePart& part, const std::string& path,
-                       std::string* error) {
-  if (part.shard_count < 1 || part.shard_index >= part.shard_count ||
-      part.range.begin > part.range.end ||
-      part.range.end > part.shape.size() ||
-      part.range != shard_range(part.shape.size(), part.shard_index,
-                                part.shard_count) ||
-      part.rows.size() != part.range.size()) {
-    return fail(error, "inconsistent service part metadata");
-  }
-
-  const std::string tmp_path = atomic_tmp_path(path);
-  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-  if (!out.good()) {
-    return fail(error, format("cannot open %s for writing", path.c_str()));
-  }
-
-  BinaryWriter w(out);
-  w.write_u64(kServiceMagic);
-  w.write_u32(kServicePartVersion);
-  w.write_u32(kByteOrderMark);
-  w.write_u64(part.fingerprint);
-  w.write_u64(part.shape.patterns);
-  w.write_u64(part.shape.loads);
-  w.write_u64(part.shape.admissions);
-  w.write_u64(part.shape.policies);
-  w.write_u64(part.shape.alphas);
-  w.write_u64(part.shard_index);
-  w.write_u64(part.shard_count);
-  w.write_u64(part.range.begin);
-  w.write_u64(part.range.end);
-  for (const ServiceRow& row : part.rows) write_service_row(w, row);
-  w.write_trailing_checksum();
-  out.flush();
-  if (!out.good()) {
-    out.close();
-    std::remove(tmp_path.c_str());
-    return fail(error, format("write to %s failed", path.c_str()));
-  }
-  out.close();
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return fail(error, format("cannot move part into place at %s", path.c_str()));
-  }
-  return true;
-}
-
-std::optional<ServicePart> load_service_part(const std::string& path,
-                                             std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    fail(error, format("cannot open %s for reading", path.c_str()));
-    return std::nullopt;
-  }
-
-  BinaryReader r(in);
-  const std::uint64_t magic = r.read_u64();
-  if (!r.ok() || magic != kServiceMagic) {
-    fail(error, format("%s is not a service part (bad magic)", path.c_str()));
-    return std::nullopt;
-  }
-  const std::uint32_t version = r.read_u32();
-  if (!r.ok() || version != kServicePartVersion) {
-    fail(error, format("%s has part version %u, expected %u", path.c_str(),
-                       version, kServicePartVersion));
-    return std::nullopt;
-  }
-  const std::uint32_t bom = r.read_u32();
-  if (!r.ok() || bom != kByteOrderMark) {
-    fail(error,
-         format("%s was written on a machine with different byte order",
-                path.c_str()));
-    return std::nullopt;
-  }
-
-  ServicePart part;
-  part.fingerprint = r.read_u64();
-  part.shape.patterns = static_cast<std::size_t>(r.read_u64());
-  part.shape.loads = static_cast<std::size_t>(r.read_u64());
-  part.shape.admissions = static_cast<std::size_t>(r.read_u64());
-  part.shape.policies = static_cast<std::size_t>(r.read_u64());
-  part.shape.alphas = static_cast<std::size_t>(r.read_u64());
-  part.shard_index = static_cast<std::size_t>(r.read_u64());
-  part.shard_count = static_cast<std::size_t>(r.read_u64());
-  part.range.begin = static_cast<std::size_t>(r.read_u64());
-  part.range.end = static_cast<std::size_t>(r.read_u64());
-
-  // Same overflow-free shape sanity as the sweep loader: a corrupt header
-  // must neither drive a huge allocation nor wrap the axis product.
-  constexpr std::size_t kMaxAxis = std::size_t{1} << 20;
-  constexpr unsigned __int128 kMaxRows = std::size_t{1} << 32;
-  const unsigned __int128 total_rows = static_cast<unsigned __int128>(
-                                           part.shape.patterns) *
-                                       part.shape.loads *
-                                       part.shape.admissions *
-                                       part.shape.policies * part.shape.alphas;
-  if (!r.ok() || part.shape.patterns == 0 || part.shape.patterns > kMaxAxis ||
-      part.shape.loads == 0 || part.shape.loads > kMaxAxis ||
-      part.shape.admissions == 0 || part.shape.admissions > kMaxAxis ||
-      part.shape.policies == 0 || part.shape.policies > kMaxAxis ||
-      part.shape.alphas == 0 || part.shape.alphas > kMaxAxis ||
-      total_rows > kMaxRows ||
-      part.shard_count < 1 || part.shard_index >= part.shard_count ||
-      part.range !=
-          shard_range(part.shape.size(), part.shard_index, part.shard_count)) {
-    fail(error, format("%s is corrupt (inconsistent part header)", path.c_str()));
-    return std::nullopt;
-  }
-
-  part.rows.reserve(std::min<std::size_t>(part.range.size(), 4096));
-  for (std::size_t i = 0; i < part.range.size(); ++i) {
-    part.rows.push_back(read_service_row(r));
-    if (!r.ok()) {
-      fail(error, format("%s is corrupt (truncated row data)", path.c_str()));
-      return std::nullopt;
-    }
-  }
-  if (!r.verify_trailing_checksum()) {
-    fail(error,
-         format("%s is corrupt (truncated or checksum mismatch)", path.c_str()));
-    return std::nullopt;
-  }
-  if (in.peek() != std::ifstream::traits_type::eof()) {
-    fail(error, format("%s is corrupt (trailing bytes after checksum)",
-                       path.c_str()));
-    return std::nullopt;
-  }
-  return part;
-}
-
-std::optional<std::vector<ServiceRow>> merge_service_parts(
-    std::vector<ServicePart> parts, std::string* error) {
-  if (parts.empty()) {
-    fail(error, "no service parts to merge");
-    return std::nullopt;
-  }
-
-  const ServicePart& first = parts.front();
-  for (const ServicePart& part : parts) {
-    if (part.fingerprint != first.fingerprint) {
-      fail(error,
-           format("shard %zu/%zu belongs to a different service sweep "
-                  "(fingerprint %016llx, expected %016llx)",
-                  part.shard_index, part.shard_count,
-                  static_cast<unsigned long long>(part.fingerprint),
-                  static_cast<unsigned long long>(first.fingerprint)));
-      return std::nullopt;
-    }
-    if (!(part.shape == first.shape) || part.shard_count != first.shard_count) {
-      fail(error, format("shard %zu has a mismatched grid shape or shard count",
-                         part.shard_index));
-      return std::nullopt;
-    }
-  }
-  if (parts.size() != first.shard_count) {
-    fail(error, format("have %zu parts but the sweep was sharded %zu ways",
-                       parts.size(), first.shard_count));
-    return std::nullopt;
-  }
-
-  std::sort(parts.begin(), parts.end(),
-            [](const ServicePart& a, const ServicePart& b) {
-              return a.shard_index < b.shard_index;
-            });
-  const std::size_t total = first.shape.size();
-  std::size_t next_row = 0;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    const ServicePart& part = parts[i];
-    if (part.shard_index != i) {
-      fail(error, format("shard %zu is missing or duplicated", i));
-      return std::nullopt;
-    }
-    if (part.range.begin != next_row) {
-      fail(error, format("shard %zu rows [%zu, %zu) leave a gap or overlap at "
-                         "row %zu",
-                         i, part.range.begin, part.range.end, next_row));
-      return std::nullopt;
-    }
-    next_row = part.range.end;
-  }
-  if (next_row != total) {
-    fail(error, format("parts cover %zu of %zu grid rows", next_row, total));
-    return std::nullopt;
-  }
-
-  std::vector<ServiceRow> rows;
-  rows.reserve(total);
-  for (ServicePart& part : parts) {
-    for (ServiceRow& row : part.rows) rows.push_back(row);
-  }
-  return rows;
-}
-
-std::optional<std::vector<ServiceRow>> merge_service_part_files(
-    const std::vector<std::string>& paths,
-    const std::uint64_t* expected_fingerprint, std::string* error,
-    ServiceIdentity* identity) {
-  std::vector<ServicePart> parts;
-  parts.reserve(paths.size());
-  for (const std::string& path : paths) {
-    std::optional<ServicePart> part = load_service_part(path, error);
-    if (!part.has_value()) return std::nullopt;
-    if (expected_fingerprint != nullptr &&
-        part->fingerprint != *expected_fingerprint) {
-      fail(error,
-           format("%s belongs to a different service sweep than this command "
-                  "line",
-                  path.c_str()));
-      return std::nullopt;
-    }
-    parts.push_back(std::move(*part));
-  }
-  if (parts.empty()) {
-    fail(error, "no service parts to merge");
+    fail(error, format("no %s parts to merge", Codec::kNoun));
     return std::nullopt;
   }
 
@@ -733,24 +478,59 @@ std::optional<std::vector<ServiceRow>> merge_service_part_files(
     identity->fingerprint = parts.front().fingerprint;
     identity->shape = parts.front().shape;
   }
-  return merge_service_parts(std::move(parts), error);
+  return merge_parts(std::move(parts), error);
 }
 
-std::vector<std::size_t> service_shards_to_run(const std::string& prefix,
-                                               std::size_t count,
-                                               std::uint64_t fingerprint,
-                                               const ServiceGridShape& shape) {
+template <typename Codec>
+std::vector<std::size_t> shards_to_run(const std::string& prefix,
+                                       std::size_t count,
+                                       std::uint64_t fingerprint,
+                                       const typename Codec::Shape& shape) {
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < count; ++i) {
     std::string error;
-    const std::optional<ServicePart> part =
-        load_service_part(part_path(prefix, i, count), &error);
+    const std::optional<Part<Codec>> part =
+        load_part<Codec>(part_path(prefix, i, count), &error);
     const bool complete = part.has_value() && part->fingerprint == fingerprint &&
                           part->shape == shape && part->shard_index == i &&
                           part->shard_count == count;
     if (!complete) pending.push_back(i);
   }
   return pending;
+}
+
+#define QOSRM_INSTANTIATE_PART_FUNCTIONS(Codec)                               \
+  template bool save_part<Codec>(const Part<Codec>&, const std::string&,       \
+                                 std::string*);                               \
+  template std::optional<Part<Codec>> load_part<Codec>(const std::string&,     \
+                                                       std::string*);          \
+  template std::optional<std::vector<Codec::Row>> merge_parts<Codec>(          \
+      std::vector<Part<Codec>>, std::string*);                                 \
+  template std::optional<std::vector<Codec::Row>> merge_part_files<Codec>(     \
+      const std::vector<std::string>&, const std::uint64_t*, std::string*,     \
+      PartIdentity<Codec>*);                                                   \
+  template std::vector<std::size_t> shards_to_run<Codec>(                      \
+      const std::string&, std::size_t, std::uint64_t, const Codec::Shape&);
+QOSRM_INSTANTIATE_PART_FUNCTIONS(SweepCodec)
+QOSRM_INSTANTIATE_PART_FUNCTIONS(ServiceCodec)
+#undef QOSRM_INSTANTIATE_PART_FUNCTIONS
+
+std::optional<SweepResult> merge_part_files(
+    const std::vector<std::string>& paths,
+    const std::uint64_t* expected_fingerprint, std::string* error,
+    SweepIdentity* identity) {
+  SweepIdentity merged_identity;
+  std::optional<std::vector<SweepRow>> rows = merge_part_files<SweepCodec>(
+      paths, expected_fingerprint, error, &merged_identity);
+  if (!rows.has_value()) return std::nullopt;
+  if (identity != nullptr) *identity = merged_identity;
+
+  SweepResult result;
+  result.rows = std::move(*rows);
+  result.aggregates =
+      compute_aggregates(result.rows, merged_identity.shape,
+                         scenario_weights(workload::spec_suite()));
+  return result;
 }
 
 }  // namespace qosrm::rmsim

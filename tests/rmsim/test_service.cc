@@ -14,6 +14,7 @@
 
 #include "rmsim/report.hh"
 #include "rmsim/shard.hh"
+#include "support/rows.hh"
 #include "support/shared_db.hh"
 #include "workload/db_io.hh"
 
@@ -48,36 +49,7 @@ void expect_rows_equal(const std::vector<ServiceRow>& a,
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE("row " + std::to_string(i));
-    EXPECT_EQ(a[i].pattern, b[i].pattern);
-    EXPECT_EQ(a[i].load, b[i].load);
-    EXPECT_EQ(a[i].admission, b[i].admission);
-    EXPECT_EQ(a[i].policy, b[i].policy);
-    EXPECT_EQ(a[i].model, b[i].model);
-    EXPECT_EQ(a[i].qos_alpha, b[i].qos_alpha);
-    const ServiceMetrics& ma = a[i].metrics;
-    const ServiceMetrics& mb = b[i].metrics;
-    EXPECT_EQ(ma.arrivals, mb.arrivals);
-    EXPECT_EQ(ma.served, mb.served);
-    EXPECT_EQ(ma.rejected, mb.rejected);
-    EXPECT_EQ(ma.qos_rejected, mb.qos_rejected);
-    EXPECT_EQ(ma.intervals, mb.intervals);
-    EXPECT_EQ(ma.violations, mb.violations);
-    // Bit-exact, not approximate: determinism is the contract under test.
-    EXPECT_EQ(ma.violation_rate, mb.violation_rate);
-    EXPECT_EQ(ma.p50_violation, mb.p50_violation);
-    EXPECT_EQ(ma.p95_violation, mb.p95_violation);
-    EXPECT_EQ(ma.p99_violation, mb.p99_violation);
-    EXPECT_EQ(ma.max_violation, mb.max_violation);
-    EXPECT_EQ(ma.mean_violation, mb.mean_violation);
-    EXPECT_EQ(ma.energy_total_j, mb.energy_total_j);
-    EXPECT_EQ(ma.uncore_energy_j, mb.uncore_energy_j);
-    EXPECT_EQ(ma.energy_per_app_j, mb.energy_per_app_j);
-    EXPECT_EQ(ma.rm_invocations, mb.rm_invocations);
-    EXPECT_EQ(ma.rm_ops, mb.rm_ops);
-    EXPECT_EQ(ma.decisions_per_sec, mb.decisions_per_sec);
-    EXPECT_EQ(ma.occupancy, mb.occupancy);
-    EXPECT_EQ(ma.mean_wait_s, mb.mean_wait_s);
-    EXPECT_EQ(ma.wall_time_s, mb.wall_time_s);
+    qosrm::testing::expect_service_rows_identical(a[i], b[i]);
   }
 }
 
@@ -193,7 +165,7 @@ TEST(Service, PartRoundtripAndMerge) {
   std::string error;
   ServiceIdentity identity;
   const std::optional<std::vector<ServiceRow>> merged =
-      merge_service_part_files(paths, &fingerprint, &error, &identity);
+      merge_part_files<ServiceCodec>(paths, &fingerprint, &error, &identity);
   ASSERT_TRUE(merged.has_value()) << error;
   EXPECT_EQ(identity.fingerprint, fingerprint);
   EXPECT_TRUE(identity.shape == grid.shape());
@@ -201,7 +173,7 @@ TEST(Service, PartRoundtripAndMerge) {
 
   // A foreign fingerprint must be rejected, never silently merged.
   const std::uint64_t wrong = fingerprint + 1;
-  EXPECT_FALSE(merge_service_part_files(paths, &wrong, &error).has_value());
+  EXPECT_FALSE(merge_part_files<ServiceCodec>(paths, &wrong, &error).has_value());
   EXPECT_NE(error.find("different service sweep"), std::string::npos) << error;
 
   // The merged rows feed a byte-stable report.

@@ -89,6 +89,7 @@ TEST(ShardE2E, FourShardSaveLoadMergeReproducesCsvByteForByte) {
   const std::uint64_t fp = grid_fingerprint(grid);
   const std::string prefix = dir + "/shard_e2e_rows.csv";
   constexpr std::size_t kShards = 4;
+  std::vector<std::string> paths;
   for (std::size_t i = 0; i < kShards; ++i) {
     SweepPart part;
     part.fingerprint = fp;
@@ -97,32 +98,18 @@ TEST(ShardE2E, FourShardSaveLoadMergeReproducesCsvByteForByte) {
     part.shard_count = kShards;
     part.range = shard_range(grid.size(), i, kShards);
     part.rows = runner.run_range(grid, part.range.begin, part.range.end);
+    paths.push_back(part_path(prefix, i, kShards));
     std::string error;
-    ASSERT_TRUE(
-        save_sweep_part(part, part_path(prefix, i, kShards), &error))
-        << error;
+    ASSERT_TRUE(save_sweep_part(part, paths.back(), &error)) << error;
   }
 
-  // Merger side: load from disk, merge, write the same CSVs.
-  std::vector<SweepPart> parts;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    std::string error;
-    std::optional<SweepPart> part =
-        load_sweep_part(part_path(prefix, i, kShards), &error);
-    ASSERT_TRUE(part.has_value()) << error;
-    EXPECT_EQ(part->fingerprint, fp);
-    parts.push_back(std::move(*part));
-  }
+  // Merger side: load from disk, check the fingerprint, merge, recompute
+  // the aggregates and write the same CSVs.
   std::string error;
-  std::optional<std::vector<SweepRow>> merged_rows =
-      merge_sweep_parts(std::move(parts), &error);
-  ASSERT_TRUE(merged_rows.has_value()) << error;
-
-  SweepResult merged;
-  merged.rows = std::move(*merged_rows);
-  merged.aggregates = compute_aggregates(
-      merged.rows, grid.shape(),
-      scenario_weights(testing::shared_db(2).suite()));
+  const std::optional<SweepResult> merged_result =
+      merge_part_files(paths, &fp, &error);
+  ASSERT_TRUE(merged_result.has_value()) << error;
+  const SweepResult& merged = *merged_result;
   const std::string merged_csv = dir + "/shard_e2e_merged.csv";
   write_rows_csv(merged, merged_csv);
 
@@ -144,9 +131,7 @@ TEST(ShardE2E, FourShardSaveLoadMergeReproducesCsvByteForByte) {
 
   std::remove(single_csv.c_str());
   std::remove(merged_csv.c_str());
-  for (std::size_t i = 0; i < kShards; ++i) {
-    std::remove(part_path(prefix, i, kShards).c_str());
-  }
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 TEST(ShardE2E, FingerprintSeparatesDifferentSweeps) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "support/rows.hh"
 #include "support/shared_db.hh"
 #include "workload/workload_gen.hh"
 
@@ -41,30 +42,6 @@ SweepResult run_sweep(const SweepGrid& grid, int threads) {
   options.threads = threads;
   SweepRunner runner(testing::shared_db(2), options);
   return runner.run(grid);
-}
-
-/// Bit-for-bit comparison of two runs (no tolerances anywhere: the sweep
-/// must be exactly deterministic).
-void expect_runs_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.workload, b.workload);
-  EXPECT_EQ(a.scenario, b.scenario);
-  EXPECT_EQ(a.policy, b.policy);
-  EXPECT_EQ(a.model, b.model);
-  EXPECT_EQ(a.uncore_energy_j, b.uncore_energy_j);
-  EXPECT_EQ(a.wall_time_s, b.wall_time_s);
-  EXPECT_EQ(a.rm_invocations, b.rm_invocations);
-  EXPECT_EQ(a.rm_ops, b.rm_ops);
-  ASSERT_EQ(a.cores.size(), b.cores.size());
-  for (std::size_t k = 0; k < a.cores.size(); ++k) {
-    EXPECT_EQ(a.cores[k].app, b.cores[k].app);
-    EXPECT_EQ(a.cores[k].counted_energy_j, b.cores[k].counted_energy_j);
-    EXPECT_EQ(a.cores[k].executed_instructions, b.cores[k].executed_instructions);
-    EXPECT_EQ(a.cores[k].finish_time_s, b.cores[k].finish_time_s);
-    EXPECT_EQ(a.cores[k].intervals, b.cores[k].intervals);
-    EXPECT_EQ(a.cores[k].qos_violations, b.cores[k].qos_violations);
-    EXPECT_EQ(a.cores[k].violation_sum, b.cores[k].violation_sum);
-    EXPECT_EQ(a.cores[k].violation_max, b.cores[k].violation_max);
-  }
 }
 
 std::string slurp(const std::string& path) {
@@ -101,7 +78,7 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
     EXPECT_EQ(serial.rows[i].workload, parallel.rows[i].workload);
     EXPECT_EQ(serial.rows[i].policy, parallel.rows[i].policy);
     EXPECT_EQ(serial.rows[i].result.savings, parallel.rows[i].result.savings);
-    expect_runs_identical(serial.rows[i].result.run, parallel.rows[i].result.run);
+    testing::expect_runs_identical(serial.rows[i].result.run, parallel.rows[i].result.run);
   }
   ASSERT_EQ(serial.aggregates.size(), parallel.aggregates.size());
   for (std::size_t i = 0; i < serial.aggregates.size(); ++i) {
@@ -144,7 +121,7 @@ TEST(Sweep, Rm3RowMatchesDirectExperimentRun) {
     const SweepRow& row = result.rows[3 * grid.mixes.size() + mi];  // Rm3 block
     ASSERT_EQ(row.policy, rm::RmPolicy::Rm3);
     EXPECT_EQ(row.result.savings, expected.savings);
-    expect_runs_identical(row.result.run, expected.run);
+    testing::expect_runs_identical(row.result.run, expected.run);
   }
 }
 
@@ -201,7 +178,7 @@ TEST(Sweep, BaselinePoliciesProduceRowsDeterministically) {
   ASSERT_EQ(serial.rows.size(), parallel.rows.size());
   for (std::size_t i = 0; i < serial.rows.size(); ++i) {
     EXPECT_EQ(serial.rows[i].result.savings, parallel.rows[i].result.savings);
-    expect_runs_identical(serial.rows[i].result.run, parallel.rows[i].result.run);
+    testing::expect_runs_identical(serial.rows[i].result.run, parallel.rows[i].result.run);
   }
 }
 
