@@ -3,15 +3,22 @@
 // The snapshot load is the prerequisite for sharded multi-process sweeps, so
 // this tracks the speedup in the perf trajectory.
 //
-// Flags: --cores=2  --threads=0  --loads=5  --path=bench_simdb.qosdb
-//        --keep (leave the snapshot file behind)
+// It prints the cold build at 1 thread and at --threads, then splits a
+// serial characterization of every suite phase into its stages (trace
+// synthesis, recency annotation, oracle leading misses, arrival emulation
+// and MLP-ATD counters), so the ledger sees which layer a change moves.
+//
+// Flags: --cores=2  --threads=0 (0 = hardware concurrency)  --loads=5
+//        --path=bench_simdb.qosdb  --keep (leave the snapshot file behind)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/cli.hh"
+#include "common/thread_pool.hh"
 #include "workload/db_io.hh"
 #include "workload/sim_db.hh"
 #include "workload/spec_suite.hh"
@@ -37,16 +44,43 @@ int main(int argc, char** argv) {
   system.cores = cores;
   const power::PowerModel power;
   const workload::SpecSuite& suite = workload::spec_suite();
+  const int threads = static_cast<int>(args.get_int("threads", 0));
   workload::SimDbOptions options;
-  options.threads = static_cast<int>(args.get_int("threads", 0));
 
   std::printf("=== SimDb build vs snapshot load (%d apps, %d cores) ===\n\n",
               suite.size(), cores);
 
+  options.threads = 1;
+  const auto t_serial = Clock::now();
+  { const workload::SimDb serial(suite, system, power, options); }
+  std::printf("cold build, 1 thread:  %8.1f ms\n", secs_since(t_serial) * 1e3);
+
+  options.threads = threads;
   const auto t_build = Clock::now();
   const workload::SimDb db(suite, system, power, options);
   const double build_s = secs_since(t_build);
-  std::printf("cold characterization: %8.1f ms\n", build_s * 1e3);
+  std::printf("cold build, %zu threads: %7.1f ms\n", resolve_thread_count(threads),
+              build_s * 1e3);
+
+  workload::PhaseStageSeconds stages;
+  for (int a = 0; a < suite.size(); ++a) {
+    const workload::AppProfile& app = suite.app(a);
+    for (int ph = 0; ph < app.num_phases(); ++ph) {
+      (void)workload::characterize_phase(app.phases[static_cast<std::size_t>(ph)],
+                                         system, options.phase,
+                                         workload::phase_trace_seed(app, ph), &stages);
+    }
+  }
+  std::printf("\ncharacterization split (1 thread, %.1f ms):\n", stages.total() * 1e3);
+  const std::pair<const char*, double> split[] = {
+      {"synthesis", stages.synthesis}, {"recency", stages.recency},
+      {"oracle", stages.oracle},       {"arrival", stages.arrival},
+      {"atd", stages.atd}};
+  for (const auto& [name, s] : split) {
+    std::printf("  %-10s %8.1f ms  %5.1f%%\n", name, s * 1e3,
+                100.0 * s / stages.total());
+  }
+  std::printf("\n");
 
   std::string error;
   const auto t_save = Clock::now();

@@ -19,6 +19,10 @@ MlpAtd::MlpAtd(const MlpAtdConfig& config) : cfg_(config) {
                        static_cast<std::size_t>(cfg_.num_allocations()),
                    Counter{});
   hit_at_.assign(static_cast<std::size_t>(cfg_.max_ways), 0);
+  for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
+    rob_[static_cast<std::size_t>(c_idx)] =
+        arch::core_params(arch::kAllCoreSizes[c_idx]).rob;
+  }
 }
 
 void MlpAtd::observe(const LlcAccess& access) {
@@ -40,14 +44,17 @@ void MlpAtd::observe(const LlcAccess& access) {
   const std::uint32_t q_index =
       static_cast<std::uint32_t>(access.inst_index) & (cfg_.index_window() - 1);
 
+  // Predicted to miss at allocation w <=> recency position >= w. A hit
+  // leaves a counter untouched, so only the allocations the access misses
+  // at are visited: w <= pos, or every w on an ATD miss.
+  const int top = pos == kRecencyMiss ? cfg_.max_ways
+                                      : std::min(static_cast<int>(pos), cfg_.max_ways);
+  if (top < cfg_.min_ways) return;
+  const auto missed = static_cast<std::size_t>(top - cfg_.min_ways + 1);
   for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
-    const int rob = arch::core_params(arch::kAllCoreSizes[c_idx]).rob;
-    for (int w = cfg_.min_ways; w <= cfg_.max_ways; ++w) {
-      // Predicted to miss at allocation w <=> recency position >= w.
-      const bool miss = pos == kRecencyMiss || static_cast<int>(pos) >= w;
-      if (!miss) continue;
-      update_counter(counter(c_idx, w), rob, q_index);
-    }
+    const int rob = rob_[static_cast<std::size_t>(c_idx)];
+    Counter* row = &counter(c_idx, cfg_.min_ways);
+    for (std::size_t k = 0; k < missed; ++k) update_counter(row[k], rob, q_index);
   }
 }
 

@@ -20,6 +20,7 @@
 #ifndef QOSRM_CACHE_MLP_ATD_HH
 #define QOSRM_CACHE_MLP_ATD_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -98,6 +99,7 @@ class MlpAtd {
   std::vector<Counter> counters_;        // [core size][allocation]
   std::vector<std::uint64_t> hit_at_;    // recency-position hit counters
   std::uint64_t atd_misses_ = 0;
+  std::array<int, arch::kNumCoreSizes> rob_{};  // ROB size per core size
 };
 
 }  // namespace qosrm::cache

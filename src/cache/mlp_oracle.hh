@@ -14,6 +14,7 @@
 #ifndef QOSRM_CACHE_MLP_ORACLE_HH
 #define QOSRM_CACHE_MLP_ORACLE_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,11 +33,14 @@ class MlpOracle {
                                              std::span<const std::uint8_t> recency,
                                              arch::CoreSize c, int w);
 
-  /// Leading misses for every allocation in [min_ways, max_ways] at core
-  /// size c; one pass per allocation (groups evolve differently per w).
-  [[nodiscard]] static std::vector<double> leading_miss_curve(
-      std::span<const LlcAccess> trace, std::span<const std::uint8_t> recency,
-      arch::CoreSize c, int min_ways, int max_ways);
+  /// LM(c, w) for every core size and every allocation in [min_ways,
+  /// max_ways], from one pass over the trace: element
+  /// [core_size_index(c)][w - min_ways] equals leading_misses(trace,
+  /// recency, c, w). An access updates only the (c, w) lanes it misses at.
+  [[nodiscard]] static std::array<std::vector<double>, arch::kNumCoreSizes>
+  leading_miss_curves(std::span<const LlcAccess> trace,
+                      std::span<const std::uint8_t> recency, int min_ways,
+                      int max_ways);
 };
 
 }  // namespace qosrm::cache

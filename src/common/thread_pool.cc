@@ -64,15 +64,14 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t workers = pool.size() + 1;  // pool + calling thread
-  const std::size_t chunk = std::max<std::size_t>(1, (n + workers - 1) / workers);
+namespace {
 
+/// Runs body over [begin, end) in `chunk`-sized slices claimed in order by
+/// the pool workers and the calling thread.
+void run_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
+                std::size_t chunk, const std::function<void(std::size_t)>& body) {
   std::atomic<std::size_t> next{begin};
-  auto run_chunks = [&] {
+  auto run = [&] {
     for (;;) {
       const std::size_t lo = next.fetch_add(chunk);
       if (lo >= end) return;
@@ -81,9 +80,31 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
     }
   };
 
-  for (std::size_t w = 0; w < pool.size(); ++w) pool.submit(run_chunks);
-  run_chunks();
+  for (std::size_t w = 0; w < pool.size(); ++w) pool.submit(run);
+  run();
   pool.wait_idle();
+}
+
+}  // namespace
+
+void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
+                  const std::function<void(std::size_t)>& body) {
+  if (begin >= end) return;
+  const std::size_t n = end - begin;
+  const std::size_t workers = pool.size() + 1;  // pool + calling thread
+  const std::size_t chunk = std::max<std::size_t>(1, (n + workers - 1) / workers);
+  run_chunks(pool, begin, end, chunk, body);
+}
+
+void parallel_for_each_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
+                               const std::function<void(std::size_t)>& body) {
+  if (begin >= end) return;
+  run_chunks(pool, begin, end, 1, body);
+}
+
+std::size_t resolve_thread_count(int threads) noexcept {
+  return threads > 0 ? static_cast<std::size_t>(threads)
+                     : std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 void parallel_for(std::size_t begin, std::size_t end,

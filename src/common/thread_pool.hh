@@ -57,6 +57,17 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);
 
+/// Like parallel_for, but hands out one index at a time, in increasing
+/// order, to the pool workers and the calling thread. For jobs of uneven
+/// cost: order them costliest first and the cheap ones fill in at the end.
+void parallel_for_each_dynamic(ThreadPool& pool, std::size_t begin, std::size_t end,
+                               const std::function<void(std::size_t)>& body);
+
+/// Worker count of a `threads` option that counts the calling thread:
+/// `threads` if positive, else the hardware concurrency (at least 1). A
+/// parallel loop over N workers runs on ThreadPool(N - 1) plus the caller.
+[[nodiscard]] std::size_t resolve_thread_count(int threads) noexcept;
+
 /// Convenience overload with a transient pool sized for the machine.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body);

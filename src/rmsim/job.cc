@@ -5,7 +5,6 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 
 #include "common/file_util.hh"
 #include "common/str.hh"
@@ -254,10 +253,9 @@ bool run_workers(const Context& ctx, const Cli& cli,
                  const std::vector<std::string>& grid_flags,
                  const std::vector<std::size_t>& pending, std::size_t rows) {
   const auto n = static_cast<std::size_t>(ctx.mode.workers);
-  const unsigned worker_threads = std::max(
-      1u, resolve_threads(ctx.threads) /
-              std::max(1u, static_cast<unsigned>(pending.size())));
-  std::printf("%s %zu runs across %d shard workers (%u threads each)...\n",
+  const std::size_t worker_threads = std::max<std::size_t>(
+      1, resolve_thread_count(ctx.threads) / std::max<std::size_t>(1, pending.size()));
+  std::printf("%s %zu runs across %d shard workers (%zu threads each)...\n",
               cli.verb, rows, ctx.mode.workers, worker_threads);
 
   struct Worker {
@@ -273,7 +271,7 @@ bool run_workers(const Context& ctx, const Cli& cli,
     worker.shard = i;
     worker.argv.push_back(exe);
     worker.argv.insert(worker.argv.end(), grid_flags.begin(), grid_flags.end());
-    worker.argv.push_back(format("--threads=%u", worker_threads));
+    worker.argv.push_back(format("--threads=%zu", worker_threads));
     worker.argv.push_back(format("--shard=%zu/%zu", i, n));
     worker.argv.push_back("--part-output=" + part_path(ctx.parts_prefix, i, n));
     if (!ctx.db_cache.empty()) {
@@ -340,11 +338,6 @@ std::vector<std::string> part_files(const Context& ctx) {
     paths.push_back(part_path(ctx.parts_prefix, i, n));
   }
   return paths;
-}
-
-unsigned resolve_threads(int threads) {
-  return threads > 0 ? static_cast<unsigned>(threads)
-                     : std::max(1u, std::thread::hardware_concurrency());
 }
 
 }  // namespace qosrm::rmsim::job

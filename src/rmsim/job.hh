@@ -34,6 +34,7 @@
 
 #include "arch/system_config.hh"
 #include "common/cli.hh"
+#include "common/thread_pool.hh"
 #include "rmsim/shard.hh"
 #include "workload/sim_db.hh"
 
@@ -161,9 +162,6 @@ bool run_workers(const Context& ctx, const Cli& cli,
 /// The part files of an orchestrated run, in shard order.
 [[nodiscard]] std::vector<std::string> part_files(const Context& ctx);
 
-/// --threads resolved (0 = hardware concurrency).
-[[nodiscard]] unsigned resolve_threads(int threads);
-
 using Clock = std::chrono::steady_clock;
 
 [[nodiscard]] inline double secs(Clock::time_point a, Clock::time_point b) {
@@ -224,7 +222,7 @@ int run_here(const Cli& cli, const Context& ctx, const Job<Codec>& job) {
   const auto t_db = Clock::now();
   const std::optional<workload::SimDb> db = open_db(ctx);
   if (!db.has_value()) return 1;
-  const unsigned threads = resolve_threads(ctx.threads);
+  const std::size_t threads = resolve_thread_count(ctx.threads);
   const std::size_t size = job.shape.size();
   const char* db_step = ctx.db_cache_hit ? "load" : "build";
 
@@ -235,7 +233,7 @@ int run_here(const Cli& cli, const Context& ctx, const Job<Codec>& job) {
     part.shard_index = ctx.mode.shard.index;
     part.shard_count = ctx.mode.shard.count;
     part.range = shard_range(size, part.shard_index, part.shard_count);
-    std::printf("shard %zu/%zu: %s rows [%zu, %zu) of %zu on %u threads...\n",
+    std::printf("shard %zu/%zu: %s rows [%zu, %zu) of %zu on %zu threads...\n",
                 part.shard_index, part.shard_count, cli.verb, part.range.begin,
                 part.range.end, size, threads);
     const auto t_run = Clock::now();
@@ -253,7 +251,7 @@ int run_here(const Cli& cli, const Context& ctx, const Job<Codec>& job) {
     return 0;
   }
 
-  std::printf("%s %zu runs (%s) on %u threads...\n", cli.verb, size,
+  std::printf("%s %zu runs (%s) on %zu threads...\n", cli.verb, size,
               job.axes.c_str(), threads);
   const auto t_run = Clock::now();
   const typename Job<Codec>::Rows rows = job.run_range(*db, 0, size);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <thread>
 
 #include "common/binary_io.hh"
 #include "common/check.hh"
@@ -604,10 +603,7 @@ std::vector<ServiceRow> run_service_range(const workload::SimDb& db,
     row.metrics = engine.run();
   };
 
-  std::size_t threads =
-      options.threads <= 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : static_cast<std::size_t>(options.threads);
+  const std::size_t threads = resolve_thread_count(options.threads);
   if (threads <= 1 || rows.size() <= 1) {
     for (std::size_t i = 0; i < rows.size(); ++i) run_point(i);
   } else {

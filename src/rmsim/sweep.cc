@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <memory>
-#include <thread>
 
 #include "common/check.hh"
 #include "common/csv.hh"
@@ -79,9 +78,7 @@ std::vector<SweepRow> SweepRunner::run_range(const SweepGrid& grid,
     row.result = runners[ai]->run(mix, config, &scratch);
   };
 
-  std::size_t threads = opt_.threads <= 0
-                            ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-                            : static_cast<std::size_t>(opt_.threads);
+  const std::size_t threads = resolve_thread_count(opt_.threads);
   if (threads <= 1) {
     for (std::size_t i = 0; i < rows.size(); ++i) run_point(i);
   } else {

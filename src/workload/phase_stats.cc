@@ -1,6 +1,7 @@
 #include "workload/phase_stats.hh"
 
 #include <algorithm>
+#include <chrono>
 
 #include "cache/arrival.hh"
 #include "cache/miss_curve.hh"
@@ -59,8 +60,21 @@ arch::MemoryBehaviour PhaseStats::memory_truth(arch::CoreSize c, int w,
 
 PhaseStats characterize_phase(const PhaseParams& phase,
                               const arch::SystemConfig& system,
-                              const PhaseStatsOptions& options, std::uint64_t seed) {
+                              const PhaseStatsOptions& options, std::uint64_t seed,
+                              PhaseStageSeconds* stages) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point lap_start;
+  if (stages != nullptr) lap_start = Clock::now();
+  // Charges the time since the previous lap to one stage.
+  auto lap = [&](double PhaseStageSeconds::*stage) {
+    if (stages == nullptr) return;
+    const Clock::time_point now = Clock::now();
+    stages->*stage += std::chrono::duration<double>(now - lap_start).count();
+    lap_start = now;
+  };
+
   const SynthesizedTrace trace = synthesize_trace(phase, options.synth, seed);
+  lap(&PhaseStageSeconds::synthesis);
   const auto& accesses = trace.accesses;
   const int max_ways = options.synth.max_ways;
 
@@ -81,15 +95,15 @@ PhaseStats characterize_phase(const PhaseParams& phase,
   for (int w = 1; w <= max_ways; ++w) {
     stats.misses[static_cast<std::size_t>(w - 1)] = curve.misses(w) * stats.scale;
   }
+  lap(&PhaseStageSeconds::recency);
 
-  // 2. Oracle leading misses per core size and allocation (ground truth).
-  for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
-    const arch::CoreSize c = arch::kAllCoreSizes[c_idx];
-    std::vector<double> lm =
-        cache::MlpOracle::leading_miss_curve(accesses, recency, c, 1, max_ways);
+  // 2. Oracle leading misses per core size and allocation (ground truth),
+  //    all 3 x max_ways curves from one pass over the trace.
+  stats.lm_true = cache::MlpOracle::leading_miss_curves(accesses, recency, 1, max_ways);
+  for (std::vector<double>& lm : stats.lm_true) {
     for (double& v : lm) v *= stats.scale;
-    stats.lm_true[static_cast<std::size_t>(c_idx)] = std::move(lm);
   }
+  lap(&PhaseStageSeconds::oracle);
 
   // 3. Hardware estimate: emulate the out-of-order arrival stream at the
   //    baseline configuration and run the MLP-ATD counters over it.
@@ -100,6 +114,7 @@ PhaseStats characterize_phase(const PhaseParams& phase,
   arrival.mem_latency_cycles = options.mem_latency_cycles;
   const std::vector<std::uint32_t> order =
       cache::emulate_arrival_order(accesses, recency, arrival);
+  lap(&PhaseStageSeconds::arrival);
 
   cache::MlpAtdConfig atd_cfg;
   atd_cfg.sets = options.synth.sets;
@@ -118,6 +133,7 @@ PhaseStats characterize_phase(const PhaseParams& phase,
     }
     stats.lm_atd[static_cast<std::size_t>(c_idx)] = std::move(lm);
   }
+  lap(&PhaseStageSeconds::atd);
 
   return stats;
 }

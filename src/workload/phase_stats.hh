@@ -74,12 +74,28 @@ struct PhaseStatsOptions {
   int arrival_ways = 8;               ///< allocation assumed for the arrival stream
 };
 
+/// Wall time of each characterization stage, summed over calls.
+struct PhaseStageSeconds {
+  double synthesis = 0.0;  ///< trace synthesis
+  double recency = 0.0;    ///< recency annotation and miss curve
+  double oracle = 0.0;     ///< ground-truth leading misses
+  double arrival = 0.0;    ///< out-of-order arrival emulation
+  double atd = 0.0;        ///< MLP-ATD counters
+
+  [[nodiscard]] double total() const noexcept {
+    return synthesis + recency + oracle + arrival + atd;
+  }
+};
+
 /// Characterizes one phase: synthesizes the trace (deterministic in `seed`)
-/// and extracts interval-scaled statistics for the given system.
+/// and extracts interval-scaled statistics for the given system. When
+/// `stages` is non-null, each stage's wall time is added to it; the clock is
+/// not read otherwise.
 [[nodiscard]] PhaseStats characterize_phase(const PhaseParams& phase,
                                             const arch::SystemConfig& system,
                                             const PhaseStatsOptions& options,
-                                            std::uint64_t seed);
+                                            std::uint64_t seed,
+                                            PhaseStageSeconds* stages = nullptr);
 
 }  // namespace qosrm::workload
 

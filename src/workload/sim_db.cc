@@ -1,5 +1,6 @@
 #include "workload/sim_db.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -7,6 +8,10 @@
 #include "common/thread_pool.hh"
 
 namespace qosrm::workload {
+
+std::uint64_t phase_trace_seed(const AppProfile& app, int phase) noexcept {
+  return app.trace_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(phase + 1);
+}
 
 std::uint64_t SimDb::InstanceId::next() noexcept {
   static std::atomic<std::uint64_t> counter{0};
@@ -18,7 +23,10 @@ SimDb::SimDb(const SpecSuite& suite, const arch::SystemConfig& system,
     : suite_(&suite), system_(system), power_(power), phase_opts_(options.phase) {
   stats_.resize(static_cast<std::size_t>(suite.size()));
 
-  // Flatten (app, phase) pairs for the parallel sweep.
+  // Flatten (app, phase) pairs, longest trace (lpki) first, and hand them
+  // out one at a time: the costliest phases start at once and the cheap
+  // ones fill the tail. Each job writes only its own slot, so the schedule
+  // cannot change the result.
   std::vector<std::pair<int, int>> jobs;
   for (int a = 0; a < suite.size(); ++a) {
     const auto n = static_cast<std::size_t>(suite.app(a).num_phases());
@@ -27,25 +35,27 @@ SimDb::SimDb(const SpecSuite& suite, const arch::SystemConfig& system,
       jobs.emplace_back(a, static_cast<int>(ph));
     }
   }
+  auto lpki = [&](const std::pair<int, int>& job) {
+    return suite.app(job.first).phases[static_cast<std::size_t>(job.second)].lpki;
+  };
+  std::stable_sort(jobs.begin(), jobs.end(),
+                   [&](const auto& x, const auto& y) { return lpki(x) > lpki(y); });
 
   const PhaseStatsOptions phase_opts = options.phase;
   auto run_job = [&](std::size_t j) {
     const auto [a, ph] = jobs[j];
     const AppProfile& app = suite.app(a);
-    const std::uint64_t seed =
-        app.trace_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(ph + 1);
     stats_[static_cast<std::size_t>(a)][static_cast<std::size_t>(ph)] =
         characterize_phase(app.phases[static_cast<std::size_t>(ph)], system_,
-                           phase_opts, seed);
+                           phase_opts, phase_trace_seed(app, ph));
   };
 
-  if (options.threads == 1) {
+  const std::size_t threads = resolve_thread_count(options.threads);
+  if (threads <= 1) {
     for (std::size_t j = 0; j < jobs.size(); ++j) run_job(j);
   } else {
-    ThreadPool pool(options.threads == 0
-                        ? 0
-                        : static_cast<std::size_t>(options.threads));
-    parallel_for(pool, 0, jobs.size(), run_job);
+    ThreadPool pool(threads - 1);  // pool workers + the calling thread
+    parallel_for_each_dynamic(pool, 0, jobs.size(), run_job);
   }
 
   table_ = EvalTable(suite, system_, power_, stats_);

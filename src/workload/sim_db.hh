@@ -32,8 +32,13 @@ namespace qosrm::workload {
 
 struct SimDbOptions {
   PhaseStatsOptions phase{};
-  int threads = 0;  ///< build parallelism; 0 = hardware concurrency
+  /// Build parallelism, the calling thread included; 0 = hardware
+  /// concurrency. The database is identical for every value.
+  int threads = 0;
 };
+
+/// Seed of the synthesized trace of `app`'s phase `phase`.
+[[nodiscard]] std::uint64_t phase_trace_seed(const AppProfile& app, int phase) noexcept;
 
 class SimDb {
  public:

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <vector>
+
+#include "common/rng.hh"
 
 namespace qosrm::cache {
 namespace {
@@ -174,6 +178,134 @@ TEST(MlpAtd, CounterSaturatesAtConfiguredWidth) {
   }
   EXPECT_DOUBLE_EQ(atd.leading_misses(arch::CoreSize::L, 16), 255.0);
 }
+
+// ---------------------------------------------------------------------------
+// Differential test: MlpAtd visits only the counters an access misses at.
+// ReferenceAtd keeps the straightforward loop that visits every (c, w)
+// counter on every access and skips it on a hit; both must agree exactly.
+// ---------------------------------------------------------------------------
+class ReferenceAtd {
+ public:
+  explicit ReferenceAtd(const MlpAtdConfig& cfg) : cfg_(cfg) {
+    const int sampled = (cfg.sets + cfg.sample_period - 1) / cfg.sample_period;
+    for (int i = 0; i < sampled; ++i) sets_.emplace_back(cfg.max_ways);
+    counters_.resize(static_cast<std::size_t>(arch::kNumCoreSizes * cfg.num_allocations()));
+  }
+
+  void observe(const LlcAccess& a) {
+    const auto period = static_cast<std::uint32_t>(cfg_.sample_period);
+    if (a.set % period != 0) return;
+    const std::uint8_t pos = sets_[a.set / period].access(a.tag);
+    const std::uint32_t window = cfg_.index_window();
+    const std::uint32_t q = static_cast<std::uint32_t>(a.inst_index) & (window - 1);
+    for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
+      const auto rob = static_cast<std::uint32_t>(
+          arch::core_params(arch::kAllCoreSizes[c_idx]).rob);
+      for (int w = cfg_.min_ways; w <= cfg_.max_ways; ++w) {
+        const bool miss = pos == kRecencyMiss || static_cast<int>(pos) >= w;
+        if (!miss) continue;
+        Ctr& ctr = at(c_idx, w);
+        const std::uint32_t dist = (q - ctr.last_lm) & (window - 1);
+        if (ctr.has_lm && dist != 0 && dist < rob &&
+            (!ctr.has_ov || dist > ctr.last_ov)) {
+          ctr.has_ov = true;
+          ctr.last_ov = dist;
+          continue;
+        }
+        if (ctr.lm < cfg_.counter_max()) ++ctr.lm;
+        ctr = {ctr.lm, q, 0, true, false};
+      }
+    }
+  }
+
+  [[nodiscard]] double leading_misses(int c_idx, int w) {
+    return static_cast<double>(at(c_idx, w).lm) * cfg_.sample_period;
+  }
+
+ private:
+  struct Ctr {
+    std::uint64_t lm = 0;
+    std::uint32_t last_lm = 0;
+    std::uint32_t last_ov = 0;
+    bool has_lm = false;
+    bool has_ov = false;
+  };
+  Ctr& at(int c_idx, int w) {
+    return counters_[static_cast<std::size_t>(c_idx * cfg_.num_allocations() +
+                                              (w - cfg_.min_ways))];
+  }
+
+  MlpAtdConfig cfg_;
+  std::vector<LruStack> sets_;
+  std::vector<Ctr> counters_;
+};
+
+struct AtdCase {
+  const char* name;
+  int sets;
+  int min_ways;
+  int max_ways;
+  int sample_period;
+  int index_bits;
+  int counter_bits;
+};
+
+constexpr AtdCase kAtdCases[] = {
+    {"paper", 8, 1, 16, 1, 10, 27},
+    {"saturating", 8, 1, 16, 1, 10, 3},
+    {"aliasing", 8, 1, 16, 1, 4, 27},
+    {"sampled", 16, 1, 16, 4, 10, 27},
+    {"min_ways_3", 8, 3, 12, 1, 10, 27},
+    {"all_at_once", 16, 2, 16, 2, 4, 5},
+};
+
+class MlpAtdLaneTrim
+    : public ::testing::TestWithParam<std::tuple<AtdCase, std::uint64_t>> {};
+
+TEST_P(MlpAtdLaneTrim, EqualsVisitEveryCounterReference) {
+  const auto& [c, seed] = GetParam();
+  MlpAtdConfig cfg;
+  cfg.sets = c.sets;
+  cfg.min_ways = c.min_ways;
+  cfg.max_ways = c.max_ways;
+  cfg.sample_period = c.sample_period;
+  cfg.index_bits = c.index_bits;
+  cfg.counter_bits = c.counter_bits;
+  MlpAtd atd(cfg);
+  ReferenceAtd ref(cfg);
+
+  // A random arrival stream: program-order indices displaced by up to 200
+  // instructions (out-of-order arrival), tags reused often enough to hit at
+  // every recency position and fresh often enough to miss.
+  Rng rng(seed);
+  std::uint64_t inst = 0;
+  std::uint64_t fresh = 1000;
+  for (int i = 0; i < 6000; ++i) {
+    inst += 1 + rng.uniform_u64(40);
+    const std::uint64_t arrival = inst + rng.uniform_u64(200);
+    const std::uint64_t tag = rng.bernoulli(0.35) ? fresh++ : rng.uniform_u64(24);
+    const LlcAccess a{arrival, static_cast<std::uint32_t>(rng.uniform_u64(
+                                   static_cast<std::uint64_t>(c.sets))),
+                      tag, false};
+    atd.observe(a);
+    ref.observe(a);
+  }
+  for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
+    for (int w = c.min_ways; w <= c.max_ways; ++w) {
+      EXPECT_EQ(atd.leading_misses(arch::kAllCoreSizes[c_idx], w),
+                ref.leading_misses(c_idx, w))
+          << c.name << " seed " << seed << " c=" << c_idx << " w=" << w;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, MlpAtdLaneTrim,
+    ::testing::Combine(::testing::ValuesIn(kAtdCases), ::testing::Values(5, 99)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace qosrm::cache

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "cache/recency.hh"
 #include "common/rng.hh"
 
@@ -125,13 +130,96 @@ TEST(MlpOracle, LeadingMissCurveMatchesPointQueries) {
   }
   RecencyProfiler prof(4, 16);
   const auto recency = prof.annotate(trace);
-  const auto curve =
-      MlpOracle::leading_miss_curve(trace, recency, arch::CoreSize::M, 1, 16);
-  ASSERT_EQ(curve.size(), 16u);
-  for (int w = 1; w <= 16; ++w) {
-    EXPECT_DOUBLE_EQ(curve[static_cast<std::size_t>(w - 1)],
-                     MlpOracle::leading_misses(trace, recency,
-                                               arch::CoreSize::M, w));
+  const auto curves = MlpOracle::leading_miss_curves(trace, recency, 1, 16);
+  for (const arch::CoreSize c : arch::kAllCoreSizes) {
+    const auto& curve = curves[static_cast<std::size_t>(arch::core_size_index(c))];
+    ASSERT_EQ(curve.size(), 16u);
+    for (int w = 1; w <= 16; ++w) {
+      EXPECT_DOUBLE_EQ(curve[static_cast<std::size_t>(w - 1)],
+                       MlpOracle::leading_misses(trace, recency, c, w));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the one-pass curves against per-(c, w) point queries
+// on seeded random traces. Each shape stresses one part of the group rule.
+// ---------------------------------------------------------------------------
+struct TraceShape {
+  const char* name;
+  std::uint64_t max_gap;  ///< instruction gap between loads in [1, max_gap]
+  double dep_prob;        ///< P(load depends on the previous load)
+  double miss_prob;       ///< P(recency = kRecencyMiss)
+  bool profiled;          ///< recency from a RecencyProfiler, not drawn
+};
+
+constexpr TraceShape kShapes[] = {
+    {"mixed", 80, 0.3, 0.3, false},
+    {"dependent_chains", 40, 0.9, 0.5, false},
+    // Gaps far below every ROB and mostly misses: groups hit the LSQ limit.
+    {"lsq_saturation", 3, 0.0, 0.9, false},
+    {"miss_heavy", 120, 0.2, 0.97, false},
+    {"profiled", 60, 0.3, 0.0, true},
+};
+
+struct Drawn {
+  std::vector<LlcAccess> trace;
+  std::vector<std::uint8_t> recency;
+};
+
+Drawn draw_trace(const TraceShape& shape, std::uint64_t seed, int n) {
+  Rng rng(seed);
+  Drawn d;
+  std::uint64_t inst = 0, tag = 0;
+  for (int i = 0; i < n; ++i) {
+    inst += 1 + rng.uniform_u64(shape.max_gap);
+    tag = rng.bernoulli(0.5) ? tag + 1 : rng.uniform_u64(tag + 1);
+    d.trace.push_back({inst, static_cast<std::uint32_t>(rng.uniform_u64(4)), tag,
+                       rng.bernoulli(shape.dep_prob)});
+    d.recency.push_back(rng.bernoulli(shape.miss_prob)
+                            ? kRecencyMiss
+                            : static_cast<std::uint8_t>(rng.uniform_u64(16)));
+  }
+  if (shape.profiled) {
+    RecencyProfiler prof(4, 16);
+    d.recency = prof.annotate(d.trace);
+  }
+  return d;
+}
+
+class MlpOracleCurves
+    : public ::testing::TestWithParam<std::tuple<TraceShape, std::uint64_t>> {};
+
+TEST_P(MlpOracleCurves, EqualPointQueriesOverWayRanges) {
+  const auto& [shape, seed] = GetParam();
+  const Drawn d = draw_trace(shape, seed, 3000);
+  for (const auto& [lo, hi] : {std::pair{1, 16}, std::pair{2, 16}, std::pair{3, 7}}) {
+    const auto curves = MlpOracle::leading_miss_curves(d.trace, d.recency, lo, hi);
+    for (const arch::CoreSize c : arch::kAllCoreSizes) {
+      const auto& curve = curves[static_cast<std::size_t>(arch::core_size_index(c))];
+      ASSERT_EQ(curve.size(), static_cast<std::size_t>(hi - lo + 1));
+      for (int w = lo; w <= hi; ++w) {
+        EXPECT_EQ(curve[static_cast<std::size_t>(w - lo)],
+                  MlpOracle::leading_misses(d.trace, d.recency, c, w))
+            << shape.name << " seed " << seed << " [" << lo << "," << hi
+            << "] c=" << arch::core_size_index(c) << " w=" << w;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MlpOracleCurves,
+    ::testing::Combine(::testing::ValuesIn(kShapes), ::testing::Values(3, 17, 2020)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(MlpOracle, CurvesOfEmptyTraceAreZero) {
+  const auto curves = MlpOracle::leading_miss_curves({}, {}, 1, 16);
+  for (const auto& curve : curves) {
+    EXPECT_EQ(curve, std::vector<double>(16, 0.0));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -138,6 +139,48 @@ TEST(ParallelFor, ReusablePoolAcrossLoops) {
     parallel_for(pool, 0, 50, [&](std::size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 250);
+}
+
+TEST(ParallelForEachDynamic, CoversEveryIndexExactlyOnce) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(1010);
+  parallel_for_each_dynamic(pool, 10, hits.size(),
+                            [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), i < 10 ? 0 : 1);
+
+  std::atomic<int> calls{0};
+  parallel_for_each_dynamic(pool, 5, 5, [&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 0);
+}
+
+TEST(ParallelForEachDynamic, LongFirstJobDoesNotHoldBackTheRest) {
+  // Index 0 waits for every other index. Contiguous chunks would put
+  // indices 1..49 behind it on the same worker; handing out one index at a
+  // time lets the other worker run them all.
+  ThreadPool pool(1);
+  constexpr std::size_t kJobs = 100;
+  std::atomic<std::size_t> others{0};
+  bool first_saw_all = false;
+  parallel_for_each_dynamic(pool, 0, kJobs, [&](std::size_t i) {
+    if (i != 0) {
+      others.fetch_add(1);
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others.load() < kJobs - 1 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    first_saw_all = others.load() == kJobs - 1;
+  });
+  EXPECT_TRUE(first_saw_all);
+}
+
+TEST(ResolveThreadCount, ZeroOrLessMeansHardwareConcurrency) {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(resolve_thread_count(0), hw);
+  EXPECT_EQ(resolve_thread_count(-3), hw);
+  EXPECT_EQ(resolve_thread_count(1), 1u);
+  EXPECT_EQ(resolve_thread_count(4), 4u);
 }
 
 }  // namespace

@@ -81,6 +81,34 @@ TEST(DbIo, RoundTripIsBitIdentical) {
   std::remove(path.c_str());
 }
 
+std::string file_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(f)), {});
+}
+
+TEST(DbIo, ColdBuildBytesIdenticalForEveryThreadCount) {
+  arch::SystemConfig sys;
+  sys.cores = 2;
+  const power::PowerModel power;
+  std::string reference;
+  for (const int threads : {1, 2, 4, 0}) {
+    SimDbOptions options;
+    options.threads = threads;
+    const SimDb db(spec_suite(), sys, power, options);
+    const std::string path = temp_path("threads.qosdb");
+    std::string error;
+    ASSERT_TRUE(save_simdb(db, path, &error)) << error;
+    const std::string bytes = file_bytes(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(bytes.empty());
+    if (reference.empty()) {
+      reference = bytes;
+    } else {
+      EXPECT_TRUE(bytes == reference) << "--threads=" << threads;
+    }
+  }
+}
+
 TEST(DbIo, SavedBytesAreDeterministic) {
   const SimDb& db = shared_db();
   const std::string p1 = temp_path("det1.qosdb");

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "arch/dvfs.hh"
+#include "common/binary_io.hh"
+#include "workload/sim_db.hh"
+#include "workload/spec_suite.hh"
 
 namespace qosrm::workload {
 namespace {
@@ -125,6 +131,52 @@ TEST(PhaseStats, DeterministicAcrossCalls) {
               b.lm_true[static_cast<std::size_t>(c)]);
     EXPECT_EQ(a.lm_atd[static_cast<std::size_t>(c)],
               b.lm_atd[static_cast<std::size_t>(c)]);
+  }
+}
+
+/// FNV-1a over every field of a characterization, doubles bit for bit.
+std::uint64_t stats_digest(const PhaseStats& st) {
+  Fnv1a64 h;
+  auto add_curve = [&](const std::vector<double>& v) {
+    h.add_u64(v.size());
+    for (const double x : v) h.add_f64(x);
+  };
+  add_curve(st.misses);
+  for (const auto& lm : st.lm_true) add_curve(lm);
+  for (const auto& lm : st.lm_atd) add_curve(lm);
+  for (const double x : {st.interval_instructions, st.llc_accesses, st.write_frac,
+                         st.scale, st.ilp, st.cpi_branch, st.cpi_cache}) {
+    h.add_f64(x);
+  }
+  return h.digest();
+}
+
+// Byte pins of the database: the full characterization of a handful of suite
+// phases, as the SimDb builds them, must not move by a bit. A change here
+// changes every .qosdb snapshot and every golden downstream of it.
+TEST(PhaseStats, SuitePhasesMatchPinnedDigests) {
+  struct Pin {
+    const char* app;
+    int phase;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"mcf", 0, 0x45881d86d8174f5fULL},
+      {"mcf", 4, 0xe4fd074adabe19a3ULL},
+      {"omnetpp", 2, 0x4f79ff0b584d41d1ULL},
+      {"libquantum", 1, 0x4c62d9160f75544fULL},
+      {"povray", 0, 0x5fe1fc46aaa4d925ULL},
+      {"lbm", 2, 0x0717b44557e24c54ULL},
+  };
+  const SpecSuite& suite = spec_suite();
+  for (const Pin& pin : pins) {
+    const int a = suite.index_of(pin.app);
+    ASSERT_GE(a, 0) << pin.app;
+    const AppProfile& app = suite.app(a);
+    const PhaseStats st =
+        characterize_phase(app.phases[static_cast<std::size_t>(pin.phase)], sys2(), {},
+                           phase_trace_seed(app, pin.phase));
+    EXPECT_EQ(stats_digest(st), pin.digest) << pin.app << " phase " << pin.phase;
   }
 }
 
