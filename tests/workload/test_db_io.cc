@@ -20,12 +20,16 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
 }
 
-/// Enumerates the full finite (c, f, w) grid of the database's system.
+/// Enumerates the full finite (c, f, b, w) grid of the database's system.
 std::vector<Setting> full_grid(const arch::SystemConfig& sys) {
   std::vector<Setting> settings;
   for (const arch::CoreSize c : arch::kAllCoreSizes) {
     for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
-      for (int w = 1; w <= sys.llc.max_ways; ++w) settings.push_back({c, f, w});
+      for (int b = sys.bw.min_shares; b <= sys.bw.max_shares; ++b) {
+        for (int w = 1; w <= sys.llc.max_ways; ++w) {
+          settings.push_back({c, f, w, b});
+        }
+      }
     }
   }
   return settings;
@@ -69,16 +73,18 @@ int grid_mismatches(const SimDb& a, const SimDb& b) {
 }
 
 TEST(DbIo, RoundTripIsBitIdentical) {
-  const SimDb& db = shared_db();
-  const std::string path = temp_path("roundtrip.qosdb");
-  std::string error;
-  ASSERT_TRUE(save_simdb(db, path, &error)) << error;
+  // The default 1-share table and a 4-core, 2-share table (three b points).
+  for (const SimDb* db : {&shared_db(), &shared_db(4, 2)}) {
+    const std::string path = temp_path("roundtrip.qosdb");
+    std::string error;
+    ASSERT_TRUE(save_simdb(*db, path, &error)) << error;
 
-  const std::optional<SimDb> loaded = load_simdb(
-      db.suite(), db.system(), db.power(), db.phase_options(), path, &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(grid_mismatches(db, *loaded), 0);
-  std::remove(path.c_str());
+    const std::optional<SimDb> loaded = load_simdb(
+        db->suite(), db->system(), db->power(), db->phase_options(), path, &error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    EXPECT_EQ(grid_mismatches(*db, *loaded), 0) << db->system().cores << " cores";
+    std::remove(path.c_str());
+  }
 }
 
 std::string file_bytes(const std::string& path) {

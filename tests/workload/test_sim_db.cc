@@ -109,87 +109,105 @@ TEST(SimDb, AppMlpOrderedByCoreSizeForStreamingApp) {
             db().app_mlp(bwaves, arch::CoreSize::M));
 }
 
-// The materialized evaluation table must be bit-identical to evaluating the
-// analytical models directly from the phase characterization, over the FULL
-// finite (c, f, w) grid (this is the refactor's correctness contract).
-TEST(SimDb, TableMatchesDirectEvaluationOverFullGrid) {
-  const SimDb& d = db();
-  const arch::SystemConfig& sys = d.system();
-  int timing_mismatches = 0;
-  int energy_mismatches = 0;
-  for (int app = 0; app < d.suite().size(); ++app) {
-    for (int ph = 0; ph < d.num_phases(app); ++ph) {
-      const PhaseStats& st = d.stats(app, ph);
-      for (const arch::CoreSize c : arch::kAllCoreSizes) {
-        for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
-          for (int w = 1; w <= sys.llc.max_ways; ++w) {
-            const Setting s{c, f, w};
-            const arch::IntervalTiming direct = arch::evaluate_interval(
-                st.characteristics(), st.memory_truth(c, w, sys.mem_latency_s),
-                c, arch::VfTable::frequency_hz(f));
-            const arch::IntervalTiming table = d.timing(app, ph, s);
-            if (table.width_cycles != direct.width_cycles ||
-                table.ilp_cycles != direct.ilp_cycles ||
-                table.branch_cycles != direct.branch_cycles ||
-                table.cache_cycles != direct.cache_cycles ||
-                table.core_seconds != direct.core_seconds ||
-                table.mem_seconds != direct.mem_seconds ||
-                table.total_seconds != direct.total_seconds) {
-              ++timing_mismatches;
-            }
-            const power::IntervalEnergy e_direct = d.power().interval_energy(
-                c, arch::VfTable::point(f), direct, st.interval_instructions,
-                st.dram_accesses(w));
-            const power::IntervalEnergy e_table = d.energy(app, ph, s);
-            if (e_table.core_dynamic_j != e_direct.core_dynamic_j ||
-                e_table.core_static_j != e_direct.core_static_j ||
-                e_table.memory_j != e_direct.memory_j) {
-              ++energy_mismatches;
-            }
-          }
-        }
-      }
-    }
-  }
-  EXPECT_EQ(timing_mismatches, 0);
-  EXPECT_EQ(energy_mismatches, 0);
+/// The databases the full-grid tests sweep: the default 2-core, 1-share
+/// table and a 4-core, 2-share table whose bandwidth axis has three points.
+std::vector<const SimDb*> full_grid_dbs() {
+  return {&db(), &qosrm::testing::shared_db(4, 2)};
 }
 
-// The SoA companion columns (scalar accessors and contiguous w-rows) must be
-// bit-identical to the corresponding fields of the AoS outcome structs over
-// the full grid - they are filled from exactly those fields at build time and
-// the batched LocalOptimizer sweep depends on the equivalence.
-TEST(SimDb, SoaAccessorsMatchStructLookupsOverFullGrid) {
-  const SimDb& d = db();
-  const arch::SystemConfig& sys = d.system();
-  int mismatches = 0;
-  for (int app = 0; app < d.suite().size(); ++app) {
-    for (int ph = 0; ph < d.num_phases(app); ++ph) {
-      for (const arch::CoreSize c : arch::kAllCoreSizes) {
-        for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
-          const std::span<const double> t_row =
-              d.total_seconds_row(app, ph, c, f);
-          const std::span<const double> m_row =
-              d.mem_seconds_row(app, ph, c, f);
-          ASSERT_EQ(static_cast<int>(t_row.size()), sys.llc.max_ways);
-          for (int w = 1; w <= sys.llc.max_ways; ++w) {
-            const Setting s{c, f, w};
-            const arch::IntervalTiming t = d.timing(app, ph, s);
-            const power::IntervalEnergy e = d.energy(app, ph, s);
-            if (d.total_seconds(app, ph, s) != t.total_seconds ||
-                d.mem_seconds(app, ph, s) != t.mem_seconds ||
-                d.core_joules(app, ph, s) != e.core_j() ||
-                d.total_joules(app, ph, s) != e.total_j() ||
-                t_row[static_cast<std::size_t>(w - 1)] != t.total_seconds ||
-                m_row[static_cast<std::size_t>(w - 1)] != t.mem_seconds) {
-              ++mismatches;
+// The materialized evaluation table must be bit-identical to evaluating the
+// analytical models directly from the phase characterization, over the FULL
+// finite (c, f, b, w) grid (this is the refactor's correctness contract).
+TEST(SimDb, TableMatchesDirectEvaluationOverFullGrid) {
+  for (const SimDb* dp : full_grid_dbs()) {
+    const SimDb& d = *dp;
+    const arch::SystemConfig& sys = d.system();
+    int timing_mismatches = 0;
+    int energy_mismatches = 0;
+    int cells = 0;
+    for (int app = 0; app < d.suite().size(); ++app) {
+      for (int ph = 0; ph < d.num_phases(app); ++ph) {
+        const PhaseStats& st = d.stats(app, ph);
+        for (const arch::CoreSize c : arch::kAllCoreSizes) {
+          for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
+            for (int b = sys.bw.min_shares; b <= sys.bw.max_shares; ++b) {
+              const double l_eff =
+                  sys.mem_latency_s * arch::bw_latency_scale(sys.bw, b);
+              for (int w = 1; w <= sys.llc.max_ways; ++w, ++cells) {
+                const Setting s{c, f, w, b};
+                const arch::IntervalTiming direct = arch::evaluate_interval(
+                    st.characteristics(), st.memory_truth(c, w, l_eff), c,
+                    arch::VfTable::frequency_hz(f));
+                const arch::IntervalTiming table = d.timing(app, ph, s);
+                if (table.width_cycles != direct.width_cycles ||
+                    table.ilp_cycles != direct.ilp_cycles ||
+                    table.branch_cycles != direct.branch_cycles ||
+                    table.cache_cycles != direct.cache_cycles ||
+                    table.core_seconds != direct.core_seconds ||
+                    table.mem_seconds != direct.mem_seconds ||
+                    table.total_seconds != direct.total_seconds) {
+                  ++timing_mismatches;
+                }
+                const power::IntervalEnergy e_direct = d.power().interval_energy(
+                    c, arch::VfTable::point(f), direct, st.interval_instructions,
+                    st.dram_accesses(w));
+                const power::IntervalEnergy e_table = d.energy(app, ph, s);
+                if (e_table.core_dynamic_j != e_direct.core_dynamic_j ||
+                    e_table.core_static_j != e_direct.core_static_j ||
+                    e_table.memory_j != e_direct.memory_j) {
+                  ++energy_mismatches;
+                }
+              }
             }
           }
         }
       }
     }
+    EXPECT_EQ(cells, d.interval_key_space()) << sys.cores << " cores";
+    EXPECT_EQ(timing_mismatches, 0) << sys.cores << " cores";
+    EXPECT_EQ(energy_mismatches, 0) << sys.cores << " cores";
   }
-  EXPECT_EQ(mismatches, 0);
+}
+
+// The scalar accessors and contiguous w-rows must be bit-identical to the
+// corresponding fields of the full outcome structs over the full (c, f, b, w)
+// grid - the batched LocalOptimizer sweep depends on the equivalence.
+TEST(SimDb, SoaAccessorsMatchStructLookupsOverFullGrid) {
+  for (const SimDb* dp : full_grid_dbs()) {
+    const SimDb& d = *dp;
+    const arch::SystemConfig& sys = d.system();
+    int mismatches = 0;
+    for (int app = 0; app < d.suite().size(); ++app) {
+      for (int ph = 0; ph < d.num_phases(app); ++ph) {
+        for (const arch::CoreSize c : arch::kAllCoreSizes) {
+          for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
+            for (int b = sys.bw.min_shares; b <= sys.bw.max_shares; ++b) {
+              const std::span<const double> t_row =
+                  d.total_seconds_row(app, ph, c, f, b);
+              const std::span<const double> m_row =
+                  d.mem_seconds_row(app, ph, c, f, b);
+              ASSERT_EQ(static_cast<int>(t_row.size()), sys.llc.max_ways);
+              ASSERT_EQ(static_cast<int>(m_row.size()), sys.llc.max_ways);
+              for (int w = 1; w <= sys.llc.max_ways; ++w) {
+                const Setting s{c, f, w, b};
+                const arch::IntervalTiming t = d.timing(app, ph, s);
+                const power::IntervalEnergy e = d.energy(app, ph, s);
+                if (d.total_seconds(app, ph, s) != t.total_seconds ||
+                    d.mem_seconds(app, ph, s) != t.mem_seconds ||
+                    d.core_joules(app, ph, s) != e.core_j() ||
+                    d.total_joules(app, ph, s) != e.total_j() ||
+                    t_row[static_cast<std::size_t>(w - 1)] != t.total_seconds ||
+                    m_row[static_cast<std::size_t>(w - 1)] != t.mem_seconds) {
+                  ++mismatches;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << sys.cores << " cores";
+  }
 }
 
 // Interval keys are the memo's identity: distinct (app, phase, c, f, clamped
