@@ -7,6 +7,8 @@
 // serial characterization of every suite phase into its stages (trace
 // synthesis, recency annotation, oracle leading misses, arrival emulation
 // and MLP-ATD counters), so the ledger sees which layer a change moves.
+// It also prints the evaluation table's cell count and bytes; the
+// "table bytes per cell" line is deterministic (timings are not).
 //
 // Flags: --cores=2  --threads=0 (0 = hardware concurrency)  --loads=5
 //        --path=bench_simdb.qosdb  --keep (leave the snapshot file behind)
@@ -61,6 +63,11 @@ int main(int argc, char** argv) {
   const double build_s = secs_since(t_build);
   std::printf("cold build, %zu threads: %7.1f ms\n", resolve_thread_count(threads),
               build_s * 1e3);
+  const auto cells = static_cast<double>(db.interval_key_space());
+  std::printf("table cells:           %8.0f\n", cells);
+  std::printf("table bytes:           %8zu\n", db.table_bytes());
+  std::printf("table bytes per cell:  %8.2f\n",
+              static_cast<double>(db.table_bytes()) / cells);
 
   workload::PhaseStageSeconds stages;
   for (int a = 0; a < suite.size(); ++a) {

@@ -42,7 +42,7 @@ void MlpAtd::observe(const LlcAccess& access) {
   // dynamic instruction count (paper: 10 bits = a 1024-instruction window,
   // 4x the largest ROB).
   const std::uint32_t q_index =
-      static_cast<std::uint32_t>(access.inst_index) & (cfg_.index_window() - 1);
+      static_cast<std::uint32_t>(access.inst_index) & cfg_.index_mask();
 
   // Predicted to miss at allocation w <=> recency position >= w. A hit
   // leaves a counter untouched, so only the allocations the access misses
@@ -74,7 +74,7 @@ void MlpAtd::update_counter(Counter& ctr, int rob, std::uint32_t q_index) noexce
 
   // Distance in the quantized index space (wraps modulo the window).
   const std::uint32_t dist =
-      (q_index - ctr.last_lm_index) & (cfg_.index_window() - 1);
+      (q_index - ctr.last_lm_index) & cfg_.index_mask();
 
   if (dist != 0 && dist < static_cast<std::uint32_t>(rob)) {
     if (!ctr.has_ov || dist > ctr.last_ov_dist) {

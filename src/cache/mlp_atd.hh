@@ -38,8 +38,11 @@ struct MlpAtdConfig {
   int index_bits = 10;    ///< quantized instruction-index width (paper: 10)
   int counter_bits = 27;  ///< LM counter width (paper: 27)
 
-  [[nodiscard]] std::uint32_t index_window() const noexcept {
-    return 1u << index_bits;
+  /// Mask of the low index_bits of an instruction index. Computed in 64
+  /// bits so index_bits == 32 yields all ones instead of shifting a 32-bit
+  /// value by its full width.
+  [[nodiscard]] std::uint32_t index_mask() const noexcept {
+    return static_cast<std::uint32_t>((std::uint64_t{1} << index_bits) - 1);
   }
   [[nodiscard]] std::uint64_t counter_max() const noexcept {
     return (counter_bits >= 64) ? ~0ULL : ((1ULL << counter_bits) - 1);

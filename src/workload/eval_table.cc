@@ -1,6 +1,8 @@
 #include "workload/eval_table.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/check.hh"
 
@@ -14,6 +16,28 @@ Setting baseline_setting(const arch::SystemConfig& system) {
   s.b = system.bw.shares_per_core_baseline;
   return s;
 }
+
+namespace {
+
+/// Aborts naming `field` unless `stored` and `v` hold the same bits.
+void check_same_bits(double stored, double v, const char* field) {
+  QOSRM_CHECK_MSG(std::bit_cast<std::uint64_t>(stored) ==
+                      std::bit_cast<std::uint64_t>(v),
+                  field);
+}
+
+/// Stores `v` in a factored slot on the slot's first visit; every later cell
+/// that maps onto the slot must hold the same bits, or the factorization the
+/// table relies on is broken and the build aborts naming `field`.
+void store_factored(double& slot, double v, bool first, const char* field) {
+  if (first) {
+    slot = v;
+  } else {
+    check_same_bits(slot, v, field);
+  }
+}
+
+}  // namespace
 
 EvalTable::EvalTable(const SpecSuite& suite, const arch::SystemConfig& system,
                      const power::PowerModel& power,
@@ -36,23 +60,24 @@ EvalTable::EvalTable(const SpecSuite& suite, const arch::SystemConfig& system,
       g.num_shares = system.bw.num_allocations();
       QOSRM_CHECK(g.max_ways >= 1);
       QOSRM_CHECK(g.num_shares >= 1);
-      const std::size_t cells = static_cast<std::size_t>(arch::kNumCoreSizes) *
-                                static_cast<std::size_t>(arch::VfTable::kNumPoints) *
-                                static_cast<std::size_t>(g.num_shares) *
-                                static_cast<std::size_t>(g.max_ways);
-      g.timing.resize(cells);
-      g.energy.resize(cells);
+      const auto ways = static_cast<std::size_t>(g.max_ways);
+      const std::size_t mem_cells = static_cast<std::size_t>(arch::kNumCoreSizes) *
+                                    static_cast<std::size_t>(g.num_shares) * ways;
+      const std::size_t cells =
+          mem_cells * static_cast<std::size_t>(arch::VfTable::kNumPoints);
       g.total_s.resize(cells);
-      g.mem_s.resize(cells);
       g.core_j.resize(cells);
-      g.total_j.resize(cells);
+      g.mem_s.resize(mem_cells);
+      g.memory_j.resize(ways);
       g.key_off = key_space_;
       key_space_ += static_cast<std::int64_t>(cells);
 
       const arch::IntervalCharacteristics chars = st.characteristics();
       std::size_t idx = 0;
-      for (const arch::CoreSize c : arch::kAllCoreSizes) {
+      for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
+        const arch::CoreSize c = arch::kAllCoreSizes[c_idx];
         for (int f = 0; f < arch::VfTable::kNumPoints; ++f) {
+          const double f_hz = arch::VfTable::frequency_hz(f);
           for (int bi = 0; bi < g.num_shares; ++bi) {
             // CBP-style bandwidth ground truth: b granted shares inflate
             // (or, above the baseline share, deflate) the effective DRAM
@@ -63,26 +88,45 @@ EvalTable::EvalTable(const SpecSuite& suite, const arch::SystemConfig& system,
             const double l_eff =
                 system.mem_latency_s *
                 arch::bw_latency_scale(system.bw, g.min_shares + bi);
+            const std::size_t mem_row = mem_row_offset(g, c, g.min_shares + bi);
             for (int w = 1; w <= g.max_ways; ++w, ++idx) {
               const arch::IntervalTiming t = arch::evaluate_interval(
-                  chars, st.memory_truth(c, w, l_eff), c,
-                  arch::VfTable::frequency_hz(f));
-              g.timing[idx] = t;
+                  chars, st.memory_truth(c, w, l_eff), c, f_hz);
               const power::IntervalEnergy e = power.interval_energy(
                   c, arch::VfTable::point(f), t, st.interval_instructions,
                   st.dram_accesses(w));
-              g.energy[idx] = e;
-              // SoA companions: copies of the struct fields, so every scalar
-              // accessor is bit-identical to the struct lookup.
               g.total_s[idx] = t.total_seconds;
-              g.mem_s[idx] = t.mem_seconds;
               g.core_j[idx] = e.core_j();
-              g.total_j[idx] = e.total_j();
+
+              const auto ci = static_cast<std::size_t>(c_idx);
+              const auto wi = static_cast<std::size_t>(w - 1);
+              const bool first_of_c = f == 0 && bi == 0 && w == 1;
+              store_factored(g.width_cycles[ci], t.width_cycles, first_of_c,
+                             "width_cycles[c] differs across f, b or w");
+              store_factored(g.ilp_cycles[ci], t.ilp_cycles, first_of_c,
+                             "ilp_cycles[c] differs across f, b or w");
+              store_factored(g.branch_cycles, t.branch_cycles,
+                             first_of_c && c_idx == 0,
+                             "branch_cycles differs across c, f, b or w");
+              store_factored(g.cache_cycles, t.cache_cycles,
+                             first_of_c && c_idx == 0,
+                             "cache_cycles differs across c, f, b or w");
+              store_factored(g.mem_s[mem_row + wi], t.mem_seconds, f == 0,
+                             "mem_s[c][b][w] differs across f");
+              store_factored(g.memory_j[wi], e.memory_j,
+                             c_idx == 0 && f == 0 && bi == 0,
+                             "memory_j[w] differs across c, f or b");
+              // core_seconds is not stored: timing() derives it from the
+              // factored cycles exactly as evaluate_interval does.
+              check_same_bits(t.core_seconds,
+                              cycles(g, c_idx).busy_cycles() / f_hz,
+                              "core_seconds differs from busy_cycles() / f");
             }
           }
         }
       }
-      g.baseline_time_s = g.timing[flat_index(g, base)].total_seconds;
+      g.baseline_time_s =
+          g.total_s[row_offset(g, base.c, base.f_idx, base.b) + way_index(g, base)];
     }
 
     // Per-app aggregates, accumulated in the same phase order (and with the
@@ -117,19 +161,10 @@ const EvalTable::PhaseGrid& EvalTable::grid(int app, int phase) const {
   return per_app[static_cast<std::size_t>(phase)];
 }
 
-std::size_t EvalTable::flat_index(const PhaseGrid& g, const Setting& s) {
+std::size_t EvalTable::way_index(const PhaseGrid& g, const Setting& s) {
   // Ways and shares clamp like PhaseStats accessors do; c and f are hard
   // grid bounds.
-  const int w = std::clamp(s.w, 1, g.max_ways);
-  const int b = std::clamp(s.b, g.min_shares, g.min_shares + g.num_shares - 1);
-  QOSRM_CHECK(s.f_idx >= 0 && s.f_idx < arch::VfTable::kNumPoints);
-  const auto c_idx = static_cast<std::size_t>(arch::core_size_index(s.c));
-  return ((c_idx * static_cast<std::size_t>(arch::VfTable::kNumPoints) +
-           static_cast<std::size_t>(s.f_idx)) *
-              static_cast<std::size_t>(g.num_shares) +
-          static_cast<std::size_t>(b - g.min_shares)) *
-             static_cast<std::size_t>(g.max_ways) +
-         static_cast<std::size_t>(w - 1);
+  return static_cast<std::size_t>(std::clamp(s.w, 1, g.max_ways) - 1);
 }
 
 std::size_t EvalTable::row_offset(const PhaseGrid& g, arch::CoreSize c,
@@ -144,30 +179,56 @@ std::size_t EvalTable::row_offset(const PhaseGrid& g, arch::CoreSize c,
          static_cast<std::size_t>(g.max_ways);
 }
 
-const arch::IntervalTiming& EvalTable::timing(int app, int phase,
-                                              const Setting& s) const {
+std::size_t EvalTable::mem_row_offset(const PhaseGrid& g, arch::CoreSize c,
+                                      int b) {
+  const int bc = std::clamp(b, g.min_shares, g.min_shares + g.num_shares - 1);
+  const auto c_idx = static_cast<std::size_t>(arch::core_size_index(c));
+  return (c_idx * static_cast<std::size_t>(g.num_shares) +
+          static_cast<std::size_t>(bc - g.min_shares)) *
+         static_cast<std::size_t>(g.max_ways);
+}
+
+arch::IntervalTiming EvalTable::cycles(const PhaseGrid& g, int c_idx) {
+  arch::IntervalTiming t;
+  t.width_cycles = g.width_cycles[static_cast<std::size_t>(c_idx)];
+  t.ilp_cycles = g.ilp_cycles[static_cast<std::size_t>(c_idx)];
+  t.branch_cycles = g.branch_cycles;
+  t.cache_cycles = g.cache_cycles;
+  return t;
+}
+
+arch::IntervalTiming EvalTable::timing(int app, int phase,
+                                       const Setting& s) const {
   const PhaseGrid& g = grid(app, phase);
-  return g.timing[flat_index(g, s)];
+  const std::size_t w = way_index(g, s);
+  arch::IntervalTiming t = cycles(g, arch::core_size_index(s.c));
+  t.mem_seconds = g.mem_s[mem_row_offset(g, s.c, s.b) + w];
+  t.total_seconds = g.total_s[row_offset(g, s.c, s.f_idx, s.b) + w];
+  t.core_seconds = t.busy_cycles() / arch::VfTable::frequency_hz(s.f_idx);
+  return t;
 }
 
 double EvalTable::total_seconds(int app, int phase, const Setting& s) const {
   const PhaseGrid& g = grid(app, phase);
-  return g.total_s[flat_index(g, s)];
+  return g.total_s[row_offset(g, s.c, s.f_idx, s.b) + way_index(g, s)];
 }
 
 double EvalTable::mem_seconds(int app, int phase, const Setting& s) const {
   const PhaseGrid& g = grid(app, phase);
-  return g.mem_s[flat_index(g, s)];
+  QOSRM_CHECK(s.f_idx >= 0 && s.f_idx < arch::VfTable::kNumPoints);
+  return g.mem_s[mem_row_offset(g, s.c, s.b) + way_index(g, s)];
 }
 
 double EvalTable::core_joules(int app, int phase, const Setting& s) const {
   const PhaseGrid& g = grid(app, phase);
-  return g.core_j[flat_index(g, s)];
+  return g.core_j[row_offset(g, s.c, s.f_idx, s.b) + way_index(g, s)];
 }
 
 double EvalTable::total_joules(int app, int phase, const Setting& s) const {
   const PhaseGrid& g = grid(app, phase);
-  return g.total_j[flat_index(g, s)];
+  const std::size_t w = way_index(g, s);
+  // The same addition as IntervalEnergy::total_j(): core_j() + memory_j.
+  return g.core_j[row_offset(g, s.c, s.f_idx, s.b) + w] + g.memory_j[w];
 }
 
 std::span<const double> EvalTable::total_seconds_row(int app, int phase,
@@ -182,20 +243,31 @@ std::span<const double> EvalTable::mem_seconds_row(int app, int phase,
                                                    arch::CoreSize c,
                                                    int f_idx, int b) const {
   const PhaseGrid& g = grid(app, phase);
-  return {g.mem_s.data() + row_offset(g, c, f_idx, b),
+  QOSRM_CHECK(f_idx >= 0 && f_idx < arch::VfTable::kNumPoints);
+  return {g.mem_s.data() + mem_row_offset(g, c, b),
           static_cast<std::size_t>(g.max_ways)};
 }
 
 std::int64_t EvalTable::interval_key(int app, int phase,
                                      const Setting& s) const {
   const PhaseGrid& g = grid(app, phase);
-  return g.key_off + static_cast<std::int64_t>(flat_index(g, s));
+  return g.key_off +
+         static_cast<std::int64_t>(row_offset(g, s.c, s.f_idx, s.b) +
+                                   way_index(g, s));
 }
 
-const power::IntervalEnergy& EvalTable::energy(int app, int phase,
-                                               const Setting& s) const {
-  const PhaseGrid& g = grid(app, phase);
-  return g.energy[flat_index(g, s)];
+std::size_t EvalTable::bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& per_app : grids_) {
+    for (const PhaseGrid& g : per_app) {
+      total += (g.total_s.size() + g.core_j.size() + g.mem_s.size() +
+                g.memory_j.size()) *
+                   sizeof(double) +
+               sizeof(g.branch_cycles) + sizeof(g.cache_cycles) +
+               sizeof(g.width_cycles) + sizeof(g.ilp_cycles);
+    }
+  }
+  return total;
 }
 
 double EvalTable::baseline_time(int app, int phase) const {

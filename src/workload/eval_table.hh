@@ -3,15 +3,30 @@
 // The paper runs Sniper+McPAT once per (phase, core configuration, VF
 // setting, LLC allocation) and the RM simulator replays applications against
 // the stored results. EvalTable is that materialization: at build time it
-// densely evaluates the ground-truth analytical models over the full finite
-// (core size x VF point x way) grid of every characterized phase - plus the
-// baseline-time, MPKI and MLP aggregates the QoS check and the classifier
-// ask for on every query - so the hot loops of the interval simulator and
-// the QoS evaluator are array lookups instead of repeated
+// evaluates the ground-truth analytical models over the full finite
+// (core size x VF point x bandwidth share x way) grid of every characterized
+// phase - plus the baseline-time, MPKI and MLP aggregates the QoS check and
+// the classifier ask for on every query - so the hot loops of the interval
+// simulator and the QoS evaluator are array lookups instead of repeated
 // evaluate_interval/memory_truth calls.
 //
-// Every stored value is produced by exactly the calls the pre-table SimDb
-// made on demand, in the same order, so lookups are bit-identical to direct
+// Each value is stored once, over only the axes it depends on:
+//
+//   dense    [c][f][b][w]  total_s, core_j   (the only values that vary
+//                                             along every axis)
+//   factored [c][b][w]     mem_s             (no frequency term)
+//            [c]           width_cycles, ilp_cycles
+//            per phase     branch_cycles, cache_cycles
+//            [w]           memory_j          (DRAM accesses depend on w only)
+//
+// That is about 16 bytes per cell. Everything else is derived on lookup with
+// the same arithmetic the models use: core_seconds = busy_cycles() / f,
+// total_joules = core_j + memory_j, and timing() assembles an IntervalTiming
+// by value. The build checks that every factored value is bitwise equal
+// along each axis it drops (and that the derived core_seconds matches), so a
+// model change that breaks a factorization aborts the build instead of
+// serving wrong cells. Every stored value is produced by exactly the calls
+// the pre-table SimDb made on demand, so lookups are bit-identical to direct
 // evaluation (tests enforce this over the full grid).
 #ifndef QOSRM_WORKLOAD_EVAL_TABLE_HH
 #define QOSRM_WORKLOAD_EVAL_TABLE_HH
@@ -60,37 +75,30 @@ class EvalTable {
  public:
   EvalTable() = default;
 
-  /// Densely evaluates timing/energy for every (app, phase) in `stats` over
-  /// the full (core size x VF point x way) grid, and precomputes the
+  /// Evaluates timing/energy for every (app, phase) in `stats` over the full
+  /// (core size x VF point x share x way) grid, and precomputes the
   /// per-phase baseline times and per-app MPKI/MLP aggregates.
   EvalTable(const SpecSuite& suite, const arch::SystemConfig& system,
             const power::PowerModel& power,
             const std::vector<std::vector<PhaseStats>>& stats);
 
-  /// Ground-truth interval timing of (app, phase) at setting s (lookup).
-  [[nodiscard]] const arch::IntervalTiming& timing(int app, int phase,
-                                                   const Setting& s) const;
+  /// Ground-truth interval timing of (app, phase) at setting s, assembled
+  /// from the dense and factored arrays.
+  [[nodiscard]] arch::IntervalTiming timing(int app, int phase,
+                                            const Setting& s) const;
 
-  /// Ground-truth interval energy at setting s (lookup).
-  [[nodiscard]] const power::IntervalEnergy& energy(int app, int phase,
-                                                    const Setting& s) const;
+  // --- scalar accessors ----------------------------------------------------
+  // Single-field consumers (the interval simulators' start-of-interval
+  // accounting, the QoS evaluator's t_act sweep, the perfect models' oracle
+  // scans) read one or two doubles instead of assembling a struct.
 
-  // --- batched / scalar SoA accessors --------------------------------------
-  // The dense grids additionally keep the hot aggregate of each cell
-  // (total/memory seconds, core/total joules) in flat structure-of-arrays
-  // companions filled from exactly the structs above, so single-field
-  // consumers (the interval simulators' start-of-interval accounting, the
-  // QoS evaluator's t_act sweep, the perfect model's oracle scans) read one
-  // contiguous double instead of copying a multi-field struct per query.
-  // Values are bit-identical to the struct fields by construction.
-
-  /// timing(...).total_seconds without the struct copy.
+  /// timing(...).total_seconds.
   [[nodiscard]] double total_seconds(int app, int phase, const Setting& s) const;
-  /// timing(...).mem_seconds without the struct copy.
+  /// timing(...).mem_seconds.
   [[nodiscard]] double mem_seconds(int app, int phase, const Setting& s) const;
-  /// energy(...).core_j() without the struct copy.
+  /// Ground-truth core energy (dynamic + static) at setting s.
   [[nodiscard]] double core_joules(int app, int phase, const Setting& s) const;
-  /// energy(...).total_j() without the struct copy.
+  /// Ground-truth interval energy, core + memory: core_joules + memory_j(w).
   [[nodiscard]] double total_joules(int app, int phase, const Setting& s) const;
 
   /// Contiguous w-row of interval wall-clock times at fixed (c, f_idx, b):
@@ -103,6 +111,7 @@ class EvalTable {
                                                           int f_idx,
                                                           int b = 1) const;
   /// Contiguous w-row of interval memory stall times at fixed (c, f_idx, b).
+  /// Memory time has no frequency term, so every f_idx yields the same row.
   [[nodiscard]] std::span<const double> mem_seconds_row(int app, int phase,
                                                         arch::CoreSize c,
                                                         int f_idx,
@@ -134,26 +143,30 @@ class EvalTable {
 
   [[nodiscard]] bool empty() const noexcept { return grids_.empty(); }
 
+  /// Bytes held by the dense and factored value arrays of every phase.
+  [[nodiscard]] std::size_t bytes() const noexcept;
+
  private:
-  /// Dense per-phase grid, [c][f][b][w-1] flattened row-major (bw-major
-  /// w-rows: the w axis stays innermost and contiguous; the share axis sits
-  /// directly above it). The share axis covers [min_shares, max_shares] of
+  /// One phase's values. Dense arrays are [c][f][b][w-1] flattened
+  /// row-major (bw-major w-rows: the w axis stays innermost and contiguous;
+  /// the share axis sits directly above it); mem_s is the same layout
+  /// without the f axis. The share axis covers [min_shares, max_shares] of
   /// the system's BwConfig and has exactly one point in the degenerate
-  /// default, where the layout (and every stored byte) is identical to the
-  /// pre-CBP [c][f][w-1] grid.
+  /// default.
   struct PhaseGrid {
     int max_ways = 0;
     int min_shares = 1;    ///< lowest share the b axis covers
     int num_shares = 1;    ///< extent of the b axis
     double baseline_time_s = 0.0;
     std::int64_t key_off = 0;  ///< cumulative cell offset (interval keys)
-    std::vector<arch::IntervalTiming> timing;
-    std::vector<power::IntervalEnergy> energy;
-    // SoA companions of the structs above (same flat indexing).
-    std::vector<double> total_s;
-    std::vector<double> mem_s;
-    std::vector<double> core_j;
-    std::vector<double> total_j;
+    double branch_cycles = 0.0;
+    double cache_cycles = 0.0;
+    std::array<double, arch::kNumCoreSizes> width_cycles{};  ///< [c]
+    std::array<double, arch::kNumCoreSizes> ilp_cycles{};    ///< [c]
+    std::vector<double> total_s;   ///< [c][f][b][w-1]
+    std::vector<double> core_j;    ///< [c][f][b][w-1]
+    std::vector<double> mem_s;     ///< [c][b][w-1]
+    std::vector<double> memory_j;  ///< [w-1]
   };
 
   struct AppAggregates {
@@ -162,11 +175,20 @@ class EvalTable {
   };
 
   [[nodiscard]] const PhaseGrid& grid(int app, int phase) const;
-  [[nodiscard]] static std::size_t flat_index(const PhaseGrid& g, const Setting& s);
-  /// Flat offset of the contiguous w-row at (c, f_idx, b).
+  /// Flat offset of the contiguous w-row at (c, f_idx, b) in the dense
+  /// arrays.
   [[nodiscard]] static std::size_t row_offset(const PhaseGrid& g,
                                               arch::CoreSize c, int f_idx,
                                               int b);
+  /// Flat offset of the contiguous w-row at (c, b) in mem_s.
+  [[nodiscard]] static std::size_t mem_row_offset(const PhaseGrid& g,
+                                                  arch::CoreSize c, int b);
+  /// The four cycle fields of core size c_idx (the rest zero); the caller
+  /// derives core_seconds as busy_cycles() / f, as evaluate_interval does.
+  [[nodiscard]] static arch::IntervalTiming cycles(const PhaseGrid& g,
+                                                   int c_idx);
+  /// Way index of s into a w-row (w clamped like PhaseStats accessors).
+  [[nodiscard]] static std::size_t way_index(const PhaseGrid& g, const Setting& s);
 
   std::vector<std::vector<PhaseGrid>> grids_;  // [app][phase]
   std::vector<AppAggregates> aggregates_;      // [app]

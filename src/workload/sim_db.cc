@@ -84,6 +84,13 @@ const PhaseStats& SimDb::stats(int app, int phase) const {
   return per_app[static_cast<std::size_t>(phase)];
 }
 
+power::IntervalEnergy SimDb::energy(int app, int phase, const Setting& s) const {
+  const arch::IntervalTiming t = timing(app, phase, s);  // checks s's bounds
+  const PhaseStats& st = stats(app, phase);
+  return power_.interval_energy(s.c, arch::VfTable::point(s.f_idx), t,
+                                st.interval_instructions, st.dram_accesses(s.w));
+}
+
 int SimDb::num_phases(int app) const {
   QOSRM_CHECK(app >= 0 && app < suite_->size());
   return static_cast<int>(stats_[static_cast<std::size_t>(app)].size());

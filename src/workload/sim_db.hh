@@ -6,10 +6,11 @@
 //
 //   * characterization - one PhaseStats per (app, phase), produced by the
 //     trace-driven cache substrate (the expensive part, parallel build);
-//   * materialized evaluation - an EvalTable holding IntervalTiming and
-//     IntervalEnergy densely precomputed over the full finite
-//     (core size x VF point x way) grid, plus baseline-time/MPKI/MLP
-//     aggregates, so every timing()/energy() query is an array lookup.
+//   * materialized evaluation - an EvalTable holding interval time and core
+//     energy densely over the full finite (core size x VF point x share x
+//     way) grid, the other timing and energy fields factored over only the
+//     axes they depend on, plus baseline-time/MPKI/MLP aggregates, so every
+//     hot query is an array lookup.
 //
 // The characterization is serializable: workload/db_io.hh saves it to a
 // versioned binary snapshot and restores it in milliseconds (the table is
@@ -17,6 +18,7 @@
 #ifndef QOSRM_WORKLOAD_SIM_DB_HH
 #define QOSRM_WORKLOAD_SIM_DB_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,28 +71,28 @@ class SimDb {
     return table_.timing(app, phase, s);
   }
 
-  /// Ground-truth interval energy (core + memory; uncore is system-level).
+  /// Ground-truth interval energy (core + memory; uncore is system-level),
+  /// recomputed with the power-model call the table build makes. The hot
+  /// paths read core_joules()/total_joules() instead.
   [[nodiscard]] power::IntervalEnergy energy(int app, int phase,
-                                             const Setting& s) const {
-    return table_.energy(app, phase, s);
-  }
+                                             const Setting& s) const;
 
-  /// timing(...).total_seconds without the struct copy (SoA lookup).
+  /// timing(...).total_seconds (one dense lookup).
   [[nodiscard]] double total_seconds(int app, int phase, const Setting& s) const {
     return table_.total_seconds(app, phase, s);
   }
 
-  /// timing(...).mem_seconds without the struct copy (SoA lookup).
+  /// timing(...).mem_seconds (one factored lookup).
   [[nodiscard]] double mem_seconds(int app, int phase, const Setting& s) const {
     return table_.mem_seconds(app, phase, s);
   }
 
-  /// energy(...).core_j() without the struct copy (SoA lookup).
+  /// energy(...).core_j() (one dense lookup).
   [[nodiscard]] double core_joules(int app, int phase, const Setting& s) const {
     return table_.core_joules(app, phase, s);
   }
 
-  /// energy(...).total_j() without the struct copy (SoA lookup).
+  /// energy(...).total_j() (a dense and a factored lookup).
   [[nodiscard]] double total_joules(int app, int phase, const Setting& s) const {
     return table_.total_joules(app, phase, s);
   }
@@ -122,6 +124,9 @@ class SimDb {
   [[nodiscard]] std::int64_t interval_key_space() const noexcept {
     return table_.interval_key_space();
   }
+
+  /// Heap bytes of the evaluation table's dense and factored value arrays.
+  [[nodiscard]] std::size_t table_bytes() const noexcept { return table_.bytes(); }
 
   /// Process-unique identity of this instance's contents: never 0, never
   /// reused, and redrawn whenever the object is copied, moved or assigned

@@ -121,6 +121,43 @@ TEST(MlpAtd, IndexQuantizationAliasesLongDistances) {
   EXPECT_DOUBLE_EQ(atd_wide.leading_misses(arch::CoreSize::S, 16), 2.0);
 }
 
+// index_bits == 32 is the widest width the config accepts; its mask must keep
+// all 32 bits. On a stream whose index gaps fit in 31 bits, 31 and 32 index
+// bits see the same distances and so must give identical counters. (A 32-bit
+// shift by 32 made the mask 0 on x86, and every miss counted as leading.)
+TEST(MlpAtd, ThirtyTwoIndexBitsMatchThirtyOne) {
+  auto counters = [](int index_bits) {
+    MlpAtdConfig cfg = tiny_config();
+    cfg.index_bits = index_bits;
+    MlpAtd atd(cfg);
+    // Indices start above 2^32 so quantization truncates; arrivals are
+    // displaced by up to 200 instructions, so some gaps are negative.
+    Rng rng(7);
+    std::uint64_t inst = (std::uint64_t{1} << 33) + 5;
+    std::uint64_t fresh = 1000;
+    for (int i = 0; i < 4000; ++i) {
+      inst += 1 + rng.uniform_u64(300);
+      const std::uint64_t tag = rng.bernoulli(0.5) ? fresh++ : rng.uniform_u64(24);
+      atd.observe({inst + rng.uniform_u64(200), 0, tag, false});
+    }
+    std::vector<double> lm;
+    for (const arch::CoreSize c : arch::kAllCoreSizes) {
+      for (int w = 1; w <= cfg.max_ways; ++w) lm.push_back(atd.leading_misses(c, w));
+    }
+    return lm;
+  };
+  const std::vector<double> at31 = counters(31);
+  EXPECT_EQ(counters(32), at31);
+
+  // The stream overlaps misses, so "every miss leads" would show.
+  MlpAtdConfig cfg = tiny_config();
+  cfg.index_bits = 32;
+  MlpAtd atd(cfg);
+  feed_misses(atd, {5, 33, 20, 90});
+  EXPECT_DOUBLE_EQ(atd.leading_misses(arch::CoreSize::S, 16), 3.0);
+  EXPECT_DOUBLE_EQ(atd.leading_misses(arch::CoreSize::L, 16), 2.0);
+}
+
 TEST(MlpAtd, TotalMissesMatchUmonView) {
   MlpAtd atd(tiny_config());
   feed_misses(atd, {10, 500, 2000});  // three cold misses
@@ -196,8 +233,8 @@ class ReferenceAtd {
     const auto period = static_cast<std::uint32_t>(cfg_.sample_period);
     if (a.set % period != 0) return;
     const std::uint8_t pos = sets_[a.set / period].access(a.tag);
-    const std::uint32_t window = cfg_.index_window();
-    const std::uint32_t q = static_cast<std::uint32_t>(a.inst_index) & (window - 1);
+    const std::uint32_t mask = cfg_.index_mask();
+    const std::uint32_t q = static_cast<std::uint32_t>(a.inst_index) & mask;
     for (int c_idx = 0; c_idx < arch::kNumCoreSizes; ++c_idx) {
       const auto rob = static_cast<std::uint32_t>(
           arch::core_params(arch::kAllCoreSizes[c_idx]).rob);
@@ -205,7 +242,7 @@ class ReferenceAtd {
         const bool miss = pos == kRecencyMiss || static_cast<int>(pos) >= w;
         if (!miss) continue;
         Ctr& ctr = at(c_idx, w);
-        const std::uint32_t dist = (q - ctr.last_lm) & (window - 1);
+        const std::uint32_t dist = (q - ctr.last_lm) & mask;
         if (ctr.has_lm && dist != 0 && dist < rob &&
             (!ctr.has_ov || dist > ctr.last_ov)) {
           ctr.has_ov = true;
