@@ -122,9 +122,9 @@ TEST(MlpAtd, IndexQuantizationAliasesLongDistances) {
 }
 
 // index_bits == 32 is the widest width the config accepts; its mask must keep
-// all 32 bits. On a stream whose index gaps fit in 31 bits, 31 and 32 index
-// bits see the same distances and so must give identical counters. (A 32-bit
-// shift by 32 made the mask 0 on x86, and every miss counted as leading.)
+// all 32 bits (a mask of 0 would count every miss as leading). On a stream
+// whose index gaps fit in 31 bits, 31 and 32 index bits see the same
+// distances and so must give identical counters.
 TEST(MlpAtd, ThirtyTwoIndexBitsMatchThirtyOne) {
   auto counters = [](int index_bits) {
     MlpAtdConfig cfg = tiny_config();

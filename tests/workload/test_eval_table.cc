@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "workload/sim_db.hh"
@@ -41,8 +42,7 @@ std::vector<std::vector<PhaseStats>> synthetic_stats(const SpecSuite& suite,
 }
 
 // Each value is stored once over the axes it depends on: two dense doubles
-// per (c, f, b, w) cell plus factored arrays, about 16 B per cell. The
-// pre-factoring layout held each value twice, 112 B per cell.
+// per (c, f, b, w) cell plus factored arrays, about 16 B per cell.
 TEST(EvalTable, HoldsAtMostSeventeenBytesPerCell) {
   for (const int shares : {1, 2}) {
     arch::SystemConfig sys;
