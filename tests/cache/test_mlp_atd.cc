@@ -4,6 +4,7 @@
 
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hh"
@@ -277,8 +278,15 @@ class ReferenceAtd {
   std::vector<Ctr> counters_;
 };
 
+// gtest prints a parameter it has no printer for as raw bytes, and ctest
+// takes that text into the test name. The case therefore carries an index
+// into kAtdCaseNames rather than a pointer, whose bytes would move with the
+// binary's layout and rename the test on every unrelated change.
+constexpr const char* kAtdCaseNames[] = {"paper",   "saturating", "aliasing",
+                                         "sampled", "min_ways_3", "all_at_once"};
+
 struct AtdCase {
-  const char* name;
+  std::uint64_t id;  ///< index into kAtdCaseNames
   int sets;
   int min_ways;
   int max_ways;
@@ -287,13 +295,16 @@ struct AtdCase {
   int counter_bits;
 };
 
+// No padding, so every printed byte is a field's value.
+static_assert(std::has_unique_object_representations_v<AtdCase>);
+
 constexpr AtdCase kAtdCases[] = {
-    {"paper", 8, 1, 16, 1, 10, 27},
-    {"saturating", 8, 1, 16, 1, 10, 3},
-    {"aliasing", 8, 1, 16, 1, 4, 27},
-    {"sampled", 16, 1, 16, 4, 10, 27},
-    {"min_ways_3", 8, 3, 12, 1, 10, 27},
-    {"all_at_once", 16, 2, 16, 2, 4, 5},
+    {0, 8, 1, 16, 1, 10, 27},   // paper
+    {1, 8, 1, 16, 1, 10, 3},    // saturating
+    {2, 8, 1, 16, 1, 4, 27},    // aliasing
+    {3, 16, 1, 16, 4, 10, 27},  // sampled
+    {4, 8, 3, 12, 1, 10, 27},   // min_ways_3
+    {5, 16, 2, 16, 2, 4, 5},    // all_at_once
 };
 
 class MlpAtdLaneTrim
@@ -331,7 +342,7 @@ TEST_P(MlpAtdLaneTrim, EqualsVisitEveryCounterReference) {
     for (int w = c.min_ways; w <= c.max_ways; ++w) {
       EXPECT_EQ(atd.leading_misses(arch::kAllCoreSizes[c_idx], w),
                 ref.leading_misses(c_idx, w))
-          << c.name << " seed " << seed << " c=" << c_idx << " w=" << w;
+          << kAtdCaseNames[c.id] << " seed " << seed << " c=" << c_idx << " w=" << w;
     }
   }
 }
@@ -340,7 +351,7 @@ INSTANTIATE_TEST_SUITE_P(
     Configs, MlpAtdLaneTrim,
     ::testing::Combine(::testing::ValuesIn(kAtdCases), ::testing::Values(5, 99)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param).name) + "_" +
+      return std::string(kAtdCaseNames[std::get<0>(info.param).id]) + "_" +
              std::to_string(std::get<1>(info.param));
     });
 
